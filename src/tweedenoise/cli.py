@@ -246,7 +246,7 @@ def _probe_all(cfg, manifest, out):
     ys, pairs, s1s, s2s = [], [], [], []
     for im in manifest["images"]:
         y = load_tensor(out / im["noisy"])
-        pair = perturb(y, dn.eps, _image_seed(cfg["seed"], im["index"], 2))
+        pair = perturb(y, dn.eps, dn.seed + im["index"])
         ys.append(y)
         pairs.append(pair)
         s1s.append(backend(pair.y1))
