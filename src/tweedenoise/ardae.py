@@ -64,8 +64,8 @@ class ArdaeConfig:
             raise DomainError("ema_decay must lie in [0, 1)")
         if self.epochs < 0 or self.batch_size < 1 or self.schedule_len < 2:
             raise DomainError("bad epochs/batch_size/schedule_len")
-        if self.lr <= 0 or self.patch_radius < 0:
-            raise DomainError("bad lr/patch_radius")
+        if self.lr <= 0 or self.patch_radius < 0 or min(self.hidden, default=1) < 1:
+            raise DomainError("bad lr/patch_radius/hidden")
         return self
 
     @property
@@ -241,7 +241,6 @@ def train_ardae(config: ArdaeConfig, data) -> tuple:
         "b": [(np.zeros_like(b), np.zeros_like(b)) for b in params.biases],
     }
     m = config.ema_decay
-    last_good = params.copy()
     t = 0
     for epoch in range(config.epochs):
         lr = config.lr / 10.0 if epoch >= decay_at else config.lr
@@ -256,14 +255,14 @@ def train_ardae(config: ArdaeConfig, data) -> tuple:
             try:
                 loss, grads = ardae_loss_and_grad(params, X[idx], sigma_a, step_seed)
             except TrainingDivergence as exc:
+                # a failed loss evaluation leaves params at the last good step
                 raise TrainingDivergence(
-                    f"diverged at epoch {epoch}: {exc}", last_good=last_good
+                    f"diverged at epoch {epoch}: {exc}", last_good=params.copy()
                 ) from exc
             t += 1
             _adam_step(params, grads, state, lr, t)
             ema_update(params, m)
             losses.append(loss)
-            last_good = params.copy()
         history.append((epoch, float(np.mean(losses)), lr))
     return params, history
 

@@ -9,14 +9,19 @@ at any nesting level.  Gaussian noise levels are given as sigma on the
 0-255 scale (divided by 255 at parse time); Poisson zeta and Gamma k are
 unit-scale already.
 
-Exit codes: 0 success, 2 validation error, 3 estimation failure,
-4 training divergence.
+Exit codes: 0 success, 2 malformed config or manifest, 3 estimation failure
+(quadrature non-convergence included), 4 training divergence.
+
+Blind estimation runs through ``pipeline``, which probes image i with seed
+``seed + i``: one ``blind_estimate`` over all images when pooled, else
+``denoise_blind`` per image.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import logging
 import sys
@@ -32,8 +37,15 @@ from .errors import (
     TweedenoiseError,
     ValidationError,
 )
-from .estimate import UNKNOWN, estimate_level, estimate_rho, perturb
-from .pipeline import DenoiseCfg, blind_estimate, denoise_known, posterior_mean_field
+from .estimate import EstimationReport
+from .pipeline import (
+    DenoiseCfg,
+    blind_estimate,
+    denoise_blind,
+    denoise_estimated,
+    denoise_known,
+    posterior_mean_field,
+)
 from .scores import analytic_score_gaussian, numeric_marginal_score
 from .simulate import (
     GmmPrior,
@@ -44,7 +56,7 @@ from .simulate import (
     sample_noisy,
     save_tensor,
 )
-from .tweedie import ModelKind, NoiseModel, denoise_field, EPS_Y
+from .tweedie import EPS_Y, ModelKind, NoiseModel
 
 log = logging.getLogger("tweedenoise")
 
@@ -55,96 +67,122 @@ EXIT_VALIDATION = 2
 EXIT_ESTIMATION = 3
 EXIT_DIVERGENCE = 4
 
-_TOP_KEYS = {"schema_version", "seed", "out_dir", "synth", "noise", "score_backend", "ardae", "estimation"}
-_SYNTH_KEYS = {"kind", "height", "width", "regions", "count", "prior"}
-_PRIOR_KEYS = {"weights", "means", "stds"}
-_NOISE_KEYS = {"model", "level"}
-_EST_KEYS = {"eps", "mask_eps", "rho_assumed", "pooled"}
-_ARDAE_KEYS = {
-    "sigma_a_max", "sigma_a_min", "schedule_len", "ema_decay", "epochs",
-    "batch_size", "lr", "lr_decay_epoch", "patch_radius", "hidden",
+NUMBER = (int, float)
+# the accepted types of each key of the config and manifest objects; [t] is a list of t
+_SCHEMA = {
+    "top level": {
+        "schema_version": int, "seed": int, "out_dir": str, "synth": dict, "noise": dict,
+        "score_backend": str, "ardae": dict, "estimation": dict,
+    },
+    "synth": {"kind": str, "height": int, "width": int, "regions": int, "count": int, "prior": dict},
+    "synth.prior": {"weights": [NUMBER], "means": [NUMBER], "stds": [NUMBER]},
+    "noise": {"model": str, "level": NUMBER},
+    "estimation": {"eps": NUMBER, "mask_eps": NUMBER, "rho_assumed": NUMBER, "pooled": bool},
+    "ardae": {  # the ArdaeConfig fields but its seed
+        "sigma_a_max": NUMBER, "sigma_a_min": NUMBER, "schedule_len": int, "ema_decay": NUMBER,
+        "epochs": int, "batch_size": int, "lr": NUMBER, "lr_decay_epoch": (int, type(None)),
+        "patch_radius": int, "hidden": [int],
+    },
+    "manifest": {"schema_version": int, "model": str, "level": NUMBER, "images": [dict]},
+    "manifest image": {"index": int, "clean": str, "noisy": str, "noise_seed": int},
+}
+# the noise families each oracle score backend is exact for
+_ORACLE_FAMILIES = {
+    "oracle-gaussian": (ModelKind.GAUSSIAN,),
+    "oracle-quadrature": (ModelKind.POISSON, ModelKind.GAMMA),
 }
 
 
-def _reject_unknown(d: dict, allowed: set, where: str):
-    extra = set(d) - allowed
+def _is(value, types) -> bool:
+    """isinstance, with [t] meaning a list of t; a JSON boolean is only ever a bool."""
+    if isinstance(types, list):
+        return isinstance(value, list) and all(_is(v, types[0]) for v in value)
+    return isinstance(value, types) and (types is bool or not isinstance(value, bool))
+
+
+def _section(d, where: str, *required: str) -> dict:
+    """``d`` checked as the config object ``where`` of _SCHEMA: unknown keys,
+    mistyped values and missing ``required`` keys are rejected."""
+    if not isinstance(d, dict):
+        raise ValidationError(f"{where} must be an object")
+    schema = _SCHEMA[where]
+    extra = set(d) - set(schema)
     if extra:
-        raise ValidationError(f"unknown config key(s) {sorted(extra)} in {where}")
+        raise ValidationError(f"unknown key(s) {sorted(extra)} in {where}")
+    for key, value in d.items():
+        if not _is(value, schema[key]):
+            raise ValidationError(f"{where}.{key} has the wrong type: {value!r}")
+    missing = [k for k in required if k not in d]
+    if missing:
+        raise ValidationError(f"{where} lacks the required key(s) {missing}")
+    return d
+
+
+def _read_json(path: Path, what: str) -> dict:
+    if not path.is_file():
+        raise ValidationError(f"{what} {path} does not exist")
+    try:
+        raw = json.loads(path.read_text())
+    except ValueError as exc:  # malformed JSON or not text at all
+        raise ValidationError(f"{what} {path} is not valid JSON: {exc}") from exc
+    if not isinstance(raw, dict):
+        raise ValidationError(f"{what} {path} must hold a JSON object")
+    return raw
 
 
 def parse_config(path) -> dict:
-    """Load, validate and normalize a config file."""
-    path = Path(path)
-    if not path.exists():
-        raise ValidationError(f"config file {path} does not exist")
-    try:
-        raw = json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
-        raise ValidationError(f"config is not valid JSON: {exc}") from exc
-    if not isinstance(raw, dict):
-        raise ValidationError("config root must be an object")
-    _reject_unknown(raw, _TOP_KEYS, "top level")
+    """Load, validate and normalize a config file.
+
+    The seeded objects (``DenoiseCfg``, ``ArdaeConfig``) are built by the
+    commands from ``cfg["seed"]``, so that ``--seed`` reaches all of them.
+    """
+    raw = _section(_read_json(Path(path), "config file"), "top level", "seed")
     if raw.get("schema_version") != SCHEMA_VERSION:
         raise ValidationError(f"schema_version must be {SCHEMA_VERSION}")
-    if "seed" not in raw or not isinstance(raw["seed"], int):
-        raise ValidationError("config must carry an explicit integer seed")
 
     cfg = {"seed": raw["seed"], "out_dir": raw.get("out_dir", "out")}
 
-    synth = raw.get("synth")
-    if synth is not None:
-        _reject_unknown(synth, _SYNTH_KEYS, "synth")
-        prior = synth.get("prior")
-        if prior is None:
-            raise ValidationError("synth.prior is required")
-        _reject_unknown(prior, _PRIOR_KEYS, "synth.prior")
+    if "synth" in raw:
+        synth = _section(raw["synth"], "synth", "prior")
+        prior = _section(synth["prior"], "synth.prior", "weights", "means", "stds")
         cfg["prior"] = GmmPrior(tuple(prior["weights"]), tuple(prior["means"]), tuple(prior["stds"]))
         cfg["synth"] = {
             "kind": synth.get("kind", "gmm_iid"),
-            "height": int(synth.get("height", 64)),
-            "width": int(synth.get("width", 64)),
-            "regions": int(synth.get("regions", 1)),
-            "count": int(synth.get("count", 1)),
+            "height": synth.get("height", 64),
+            "width": synth.get("width", 64),
+            "regions": synth.get("regions", 1),
+            "count": synth.get("count", 1),
         }
         if cfg["synth"]["count"] < 1:
             raise ValidationError("synth.count must be >= 1")
 
-    noise = raw.get("noise")
-    if noise is not None:
-        _reject_unknown(noise, _NOISE_KEYS, "noise")
+    if "noise" in raw:
+        noise = _section(raw["noise"], "noise", "model", "level")
         try:
             kind = ModelKind(noise["model"])
         except ValueError as exc:
-            raise ValidationError(f"unknown noise model {noise.get('model')!r}") from exc
+            raise ValidationError(f"unknown noise model {noise['model']!r}") from exc
         level = float(noise["level"])
         if kind is ModelKind.GAUSSIAN:
             level = level / 255.0  # sigma given on the 8-bit scale
         cfg["noise_kind"] = kind
         cfg["noise_level"] = level  # natural units: sigma | zeta | k
 
-    est = raw.get("estimation", {})
-    _reject_unknown(est, _EST_KEYS, "estimation")
-    cfg["denoise_cfg"] = DenoiseCfg(
-        eps=float(est.get("eps", 1e-5)),
-        mask_eps=float(est.get("mask_eps", 1e-5)),
-        rho_assumed=float(est.get("rho_assumed", 2.2)),
-        seed=raw["seed"],
-    )
-    cfg["pooled"] = bool(est.get("pooled", False))
+    est = _section(raw.get("estimation", {}), "estimation")
+    cfg["estimation"] = {k: float(v) for k, v in est.items() if k != "pooled"}
+    DenoiseCfg(**cfg["estimation"]).validate()
+    cfg["pooled"] = est.get("pooled", False)
 
-    ar = raw.get("ardae", {})
-    _reject_unknown(ar, _ARDAE_KEYS, "ardae")
-    if "hidden" in ar:
-        ar = dict(ar, hidden=tuple(ar["hidden"]))
-    cfg["ardae"] = ArdaeConfig(seed=raw["seed"], **ar).validate()
+    ar = _section(raw.get("ardae", {}), "ardae")
+    cfg["ardae"] = dict(ar, hidden=tuple(ar["hidden"])) if "hidden" in ar else ar
+    ArdaeConfig(**cfg["ardae"]).validate()
 
-    cfg["score_backend"] = raw.get("score_backend", "oracle-gaussian")
-    sb = cfg["score_backend"]
+    sb = cfg["score_backend"] = raw.get("score_backend", "oracle-gaussian")
     if sb.startswith("ardae:"):
         ckpt = Path(sb.split(":", 1)[1])
-        if not ckpt.exists():
+        if not ckpt.is_file():
             raise ValidationError(f"checkpoint {ckpt} does not exist")
-    elif sb not in ("oracle-gaussian", "oracle-quadrature"):
+    elif sb not in _ORACLE_FAMILIES:
         raise ValidationError(f"unknown score backend {sb!r}")
     return cfg
 
@@ -160,17 +198,26 @@ def _true_model(cfg) -> NoiseModel:
     return NoiseModel(kind, level)
 
 
+def _need_truth(cfg, what: str):
+    if "prior" not in cfg or "noise_kind" not in cfg:
+        raise ValidationError(f"{what} needs the synth and noise config sections")
+
+
 def make_backend(cfg):
     """Score-field closure y -> ScoreField for the configured backend."""
     sb = cfg["score_backend"]
+    if sb.startswith("ardae:"):
+        params, _ = load_checkpoint(sb.split(":", 1)[1])
+        return lambda y: eval_score(params, y)
+    _need_truth(cfg, f"score backend {sb}")
+    if cfg["noise_kind"] not in _ORACLE_FAMILIES[sb]:
+        raise ValidationError(f"score backend {sb} does not fit {cfg['noise_kind'].value} noise")
+    prior = cfg["prior"]
     if sb == "oracle-gaussian":
-        prior, sigma = cfg["prior"], cfg["noise_level"]
+        sigma = cfg["noise_level"]
         return lambda y: analytic_score_gaussian(y, prior, sigma)
-    if sb == "oracle-quadrature":
-        prior, model = cfg["prior"], _true_model(cfg)
-        return lambda y: numeric_marginal_score(y, prior, model)
-    params, _ = load_checkpoint(sb.split(":", 1)[1])
-    return lambda y: eval_score(params, y)
+    model = _true_model(cfg)
+    return lambda y: numeric_marginal_score(y, prior, model)
 
 
 def _natural_level(kind: str, value: float) -> float:
@@ -181,18 +228,16 @@ def _natural_level(kind: str, value: float) -> float:
 
 
 def _load_manifest(out_dir: Path):
-    mpath = out_dir / "manifest.json"
-    if not mpath.exists():
-        raise ValidationError(f"manifest {mpath} does not exist (run synth first)")
-    manifest = json.loads(mpath.read_text())
-    if not manifest.get("images"):
+    manifest = _section(_read_json(out_dir / "manifest.json", "manifest"), "manifest", "model", "level", "images")
+    if not manifest["images"]:
         raise ValidationError("manifest lists no images")
+    for im in manifest["images"]:
+        _section(im, "manifest image", "index", "clean", "noisy")
     return manifest
 
 
 def cmd_synth(cfg) -> int:
-    if "synth" not in cfg or "noise_kind" not in cfg:
-        raise ValidationError("synth command needs synth and noise config sections")
+    _need_truth(cfg, "synth")
     out = Path(cfg["out_dir"])
     out.mkdir(parents=True, exist_ok=True)
     sp, model = cfg["synth"], _true_model(cfg)
@@ -225,8 +270,9 @@ def cmd_train(cfg) -> int:
     out = Path(cfg["out_dir"])
     manifest = _load_manifest(out)
     data = [load_tensor(out / im["noisy"]) for im in manifest["images"]]
-    params, history = train_ardae(cfg["ardae"], data)
-    save_checkpoint(out / "checkpoint.npz", params, cfg["ardae"])
+    config = ArdaeConfig(seed=cfg["seed"], **cfg["ardae"])
+    params, history = train_ardae(config, data)
+    save_checkpoint(out / "checkpoint.npz", params, config)
     running = float("inf")
     with open(out / "loss.csv", "w", newline="") as fh:
         wr = csv.writer(fh)
@@ -238,55 +284,40 @@ def cmd_train(cfg) -> int:
     return EXIT_OK
 
 
-def _probe_all(cfg, manifest, out):
-    """Perturb + score every image; returns (ys, pairs, s1s, s2s)."""
-    backend = make_backend(cfg)
-    dn = cfg["denoise_cfg"]
-    dn.validate()
-    ys, pairs, s1s, s2s = [], [], [], []
-    for im in manifest["images"]:
-        y = load_tensor(out / im["noisy"])
-        pair = perturb(y, dn.eps, dn.seed + im["index"])
-        ys.append(y)
-        pairs.append(pair)
-        s1s.append(backend(pair.y1))
-        s2s.append(backend(pair.y2))
-    return ys, pairs, s1s, s2s
+def _estimate(backend, ys, dn):
+    """``blind_estimate`` over ``ys`` with an unknown classification reported,
+    not raised: (model estimate, level estimate or None, backend name, pixels)."""
+    pixels = sum(y.size for y in ys)
+    try:
+        me, le, _, f1 = blind_estimate(ys, backend, dn)
+        return me, le, f1[0].backend, pixels
+    except EstimationFailure as exc:
+        if exc.report is None:
+            raise
+        return exc.report.model_estimate, None, exc.report.backend, pixels
 
 
 def cmd_estimate(cfg) -> int:
     out = Path(cfg["out_dir"])
     manifest = _load_manifest(out)
-    ys, pairs, s1s, s2s = _probe_all(cfg, manifest, out)
-    dn = cfg["denoise_cfg"]
-
+    images = manifest["images"]
+    backend = make_backend(cfg)
+    dn = DenoiseCfg(seed=cfg["seed"], **cfg["estimation"])
     if cfg["pooled"]:
-        from .pipeline import _pool
-
-        pair, s1, s2 = _pool(pairs, s1s, s2s)
-        groups = [(pair, s1, s2)] * len(pairs)
+        results = [_estimate(backend, [load_tensor(out / im["noisy"]) for im in images], dn)] * len(images)
     else:
-        groups = list(zip(pairs, s1s, s2s))
+        results = (
+            _estimate(backend, [load_tensor(out / im["noisy"])], dataclasses.replace(dn, seed=dn.seed + im["index"]))
+            for im in images
+        )
 
     rows = []
     truth_kind = manifest["model"]
     truth_level = manifest["level"]
-    for im, (pair, s1, s2) in zip(manifest["images"], groups):
-        me = estimate_rho(pair, s1, s2, mask_eps=dn.mask_eps, rho_assumed=dn.rho_assumed)
-        level = None
-        if me.classified != UNKNOWN:
-            le = estimate_level(me.classified, pair, s1, s2)
-            level = _natural_level(me.classified, le.value)
-        report = {
-            "rho_hat": me.rho_hat,
-            "model": me.classified,
-            "level": level,
-            "mask_fraction": me.mask_fraction,
-            "pixel_count": int(pair.y1.size),
-            "seed": cfg["seed"],
-            "backend": s1.backend,
-        }
-        (out / f"estimate_{im['index']:03d}.json").write_text(json.dumps(report, sort_keys=True))
+    for im, (me, le, backend_name, pixels) in zip(images, results):
+        level = None if le is None else _natural_level(me.classified, le.value)
+        report = EstimationReport(me.rho_hat, me.classified, level, me.mask_fraction, pixels, cfg["seed"], backend_name)
+        (out / f"estimate_{im['index']:03d}.json").write_text(report.to_json())
         rows.append(
             [im["index"], repr(me.rho_hat), me.classified,
              "" if level is None else repr(level),
@@ -304,46 +335,34 @@ def cmd_estimate(cfg) -> int:
 def _denoise_batch(cfg, save_tensors: bool) -> int:
     out = Path(cfg["out_dir"])
     manifest = _load_manifest(out)
+    images = manifest["images"]
+    _need_truth(cfg, "the known-level and oracle columns")
     truth = _true_model(cfg)
     backend = make_backend(cfg)
-    dn = cfg["denoise_cfg"]
-    dn.validate()
-    ys, pairs, s1s, s2s = _probe_all(cfg, manifest, out)
-
-    pooled_est = None
+    dn = DenoiseCfg(seed=cfg["seed"], **cfg["estimation"])
     if cfg["pooled"]:
-        from .pipeline import _pool
-
-        pair, s1, s2 = _pool(pairs, s1s, s2s)
-        me = estimate_rho(pair, s1, s2, mask_eps=dn.mask_eps, rho_assumed=dn.rho_assumed)
-        if me.classified == UNKNOWN:
-            raise EstimationFailure(f"pooled rho_hat={me.rho_hat:.3f} classified as unknown")
-        le = estimate_level(me.classified, pair, s1, s2)
-        pooled_est = (me, le)
+        ys = [load_tensor(out / im["noisy"]) for im in images]
+        me, le, pairs, f1 = blind_estimate(ys, backend, dn)
 
     rows = []
-    for im, y, pair, s1, s2 in zip(manifest["images"], ys, pairs, s1s, s2s):
+    for i, im in enumerate(images):
         x = load_tensor(out / im["clean"])
+        y = ys[i] if cfg["pooled"] else load_tensor(out / im["noisy"])
         row = {"image": im["index"], "noisy": psnr(x, y)}
         try:
-            if pooled_est is None:
-                me = estimate_rho(pair, s1, s2, mask_eps=dn.mask_eps, rho_assumed=dn.rho_assumed)
-                if me.classified == UNKNOWN:
-                    raise EstimationFailure(f"rho_hat={me.rho_hat:.3f} classified as unknown")
-                le = estimate_level(me.classified, pair, s1, s2)
+            if cfg["pooled"]:
+                xb, report = denoise_estimated(pairs[i].y1, f1[i], me, le)
             else:
-                me, le = pooled_est
-            est_model = NoiseModel(ModelKind(me.classified), le.value)
-            xb, _ = denoise_field(pair.y1, est_model, s1.values)
-            xb = np.clip(xb, EPS_Y, 1.0)
+                xb, report = denoise_blind(y, backend, dataclasses.replace(dn, seed=dn.seed + im["index"]))
             row["blind"] = psnr(x, xb)
             row["error"] = ""
             if save_tensors:
                 save_tensor(out / f"denoised_{im['index']:03d}.f32", xb)
+                est = report.model_estimate
                 rep = {
-                    "rho_hat": me.rho_hat, "model": me.classified,
-                    "level": _natural_level(me.classified, le.value),
-                    "mask_fraction": me.mask_fraction, "backend": s1.backend,
+                    "rho_hat": est.rho_hat, "model": est.classified,
+                    "level": _natural_level(est.classified, report.level_estimate.value),
+                    "mask_fraction": est.mask_fraction, "backend": report.backend,
                 }
                 (out / f"denoise_{im['index']:03d}.json").write_text(json.dumps(rep, sort_keys=True))
         except TweedenoiseError as exc:
@@ -359,18 +378,12 @@ def _denoise_batch(cfg, save_tensors: bool) -> int:
     with open(out / "psnr.csv", "w", newline="") as fh:
         wr = csv.writer(fh)
         wr.writerow(["image", "psnr_noisy", "blind", "known_level", "oracle_posterior", "error"])
+        columns = ("noisy", "blind", "known", "oracle")
         for r in rows:
-            wr.writerow([r["image"], repr(r["noisy"]), repr(r["blind"]), repr(r["known"]), repr(r["oracle"]), r["error"]])
+            wr.writerow([r["image"], *(repr(r[c]) for c in columns), r["error"]])
         ok = [r for r in rows if not np.isnan(r["blind"])]
         if ok:
-            wr.writerow(
-                ["mean",
-                 repr(float(np.mean([r["noisy"] for r in ok]))),
-                 repr(float(np.mean([r["blind"] for r in ok]))),
-                 repr(float(np.mean([r["known"] for r in ok]))),
-                 repr(float(np.mean([r["oracle"] for r in ok]))),
-                 ""]
-            )
+            wr.writerow(["mean", *(repr(float(np.mean([r[c] for r in ok]))) for c in columns), ""])
     log.info("denoise: wrote %s", out / "psnr.csv")
     return EXIT_OK
 
@@ -407,10 +420,6 @@ def main(argv=None) -> int:
         cfg = parse_config(args.config)
         if args.seed is not None:
             cfg["seed"] = args.seed
-            cfg["denoise_cfg"] = DenoiseCfg(
-                eps=cfg["denoise_cfg"].eps, mask_eps=cfg["denoise_cfg"].mask_eps,
-                rho_assumed=cfg["denoise_cfg"].rho_assumed, seed=args.seed,
-            )
         if args.out is not None:
             cfg["out_dir"] = args.out
         out = Path(cfg["out_dir"])
@@ -425,12 +434,12 @@ def main(argv=None) -> int:
     except (ValidationError, DomainError) as exc:
         print(f"validation error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    except EstimationFailure as exc:
-        print(f"estimation failure: {exc}", file=sys.stderr)
-        return EXIT_ESTIMATION
     except TrainingDivergence as exc:
         print(f"training divergence: {exc}", file=sys.stderr)
         return EXIT_DIVERGENCE
+    except TweedenoiseError as exc:  # EstimationFailure, QuadratureError, SingularEstimateError
+        print(f"estimation failure: {exc}", file=sys.stderr)
+        return EXIT_ESTIMATION
 
 
 if __name__ == "__main__":

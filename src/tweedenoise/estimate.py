@@ -30,6 +30,7 @@ reported.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 from dataclasses import dataclass
 
@@ -87,17 +88,7 @@ class EstimationReport:
     backend: str
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "rho_hat": self.rho_hat,
-                "model": self.model,
-                "level": self.level,
-                "mask_fraction": self.mask_fraction,
-                "pixel_count": self.pixel_count,
-                "seed": self.seed,
-                "backend": self.backend,
-            }
-        )
+        return json.dumps(dataclasses.asdict(self), sort_keys=True)
 
 
 def perturb(y1: np.ndarray, eps: float, seed: int) -> PerturbationPair:

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import integrate
-from scipy.special import gammaln, logsumexp
+from scipy.special import gammaln
 
 from .errors import DomainError, EstimationFailure, QuadratureError, ValidationError
 from .estimate import (
@@ -34,7 +34,7 @@ from .estimate import (
     estimate_rho,
     perturb,
 )
-from .scores import ScoreField, _component_nodes
+from .scores import ScoreField, gaussian_responsibilities, quadrature_posterior
 from .simulate import GmmPrior
 from .tweedie import EPS_Y, ModelKind, NoiseModel, denoise_field
 
@@ -121,21 +121,23 @@ def blind_estimate(ys, score_backend, cfg: DenoiseCfg):
     return me, le, pairs, f1
 
 
+def denoise_estimated(y1, s1: ScoreField, me: ModelEstimate, le: LevelEstimate):
+    """The estimated family's formula at a probe point y1 whose score s1 the
+    estimate already evaluated, clamped to [EPS_Y, 1]; returns
+    (xhat, DenoiseReport)."""
+    model = NoiseModel(ModelKind(me.classified), le.value)
+    xhat, n_singular = denoise_field(y1, model, s1.values)
+    report = DenoiseReport(backend=s1.backend, model_estimate=me, level_estimate=le, n_singular=n_singular)
+    return np.clip(xhat, EPS_Y, 1.0), report
+
+
 def denoise_blind(y, score_backend, cfg: DenoiseCfg = DenoiseCfg()):
     """Blind denoising of a single image; returns (xhat, DenoiseReport)."""
     t0 = time.perf_counter()
     me, le, pairs, f1 = blind_estimate([y], score_backend, cfg)
     t1 = time.perf_counter()
-    model = NoiseModel(ModelKind(me.classified), le.value)
-    xhat, n_singular = denoise_field(pairs[0].y1, model, f1[0].values)
-    xhat = np.clip(xhat, EPS_Y, 1.0)
-    report = DenoiseReport(
-        backend=f1[0].backend,
-        model_estimate=me,
-        level_estimate=le,
-        n_singular=n_singular,
-        timings={"estimate_s": t1 - t0, "denoise_s": time.perf_counter() - t1},
-    )
+    xhat, report = denoise_estimated(pairs[0].y1, f1[0], me, le)
+    report.timings = {"estimate_s": t1 - t0, "denoise_s": time.perf_counter() - t1}
     return xhat, report
 
 
@@ -229,25 +231,7 @@ def posterior_mean_field(y, prior: GmmPrior, model: NoiseModel, order: int = 96)
     y = np.asarray(y, dtype=np.float64)
     kind = ModelKind(model.kind)
     if kind is ModelKind.GAUSSIAN:
-        sig2 = model.level
-        m = np.asarray(prior.means)
-        s2 = np.asarray(prior.stds) ** 2
-        logw = np.log(np.maximum(prior.weights, 1e-300))
-        yy = y[..., None]
-        v = s2 + sig2
-        logp = logw - 0.5 * (np.log(2 * np.pi * v) + (yy - m) ** 2 / v)
-        resp = np.exp(logp - logsumexp(logp, axis=-1, keepdims=True))
-        comp_mean = (s2 * yy + sig2 * m) / v
-        return np.sum(resp * comp_mean, axis=-1)
-    xs, logws = _component_nodes(prior, order)
-    yy = y[..., None]
-    if kind is ModelKind.POISSON:
-        zeta = model.level
-        n = yy / zeta
-        loglik = n * np.log(xs / zeta) - xs / zeta - gammaln(n + 1.0)
-    else:
-        k = model.level
-        loglik = k * np.log(k / xs) - gammaln(k) + (k - 1.0) * np.log(yy) - (k / xs) * yy
-    post = loglik + logws
-    post -= logsumexp(post, axis=-1, keepdims=True)
-    return np.sum(np.exp(post) * xs, axis=-1)
+        yy, m, v, resp = gaussian_responsibilities(y, prior, model.level)
+        return np.sum(resp * ((np.asarray(prior.stds) ** 2 * yy + model.level * m) / v), axis=-1)
+    xs, post = quadrature_posterior(y, prior, model, order)
+    return np.sum(post * xs, axis=-1)

@@ -58,15 +58,21 @@ def analytic_score_gaussian(y, prior: GmmPrior, sigma: float) -> ScoreField:
     """
     if not np.isfinite(sigma) or sigma <= 0:
         raise DomainError(f"sigma must be positive, got {sigma}")
-    y = np.asarray(y, dtype=np.float64)
-    m = np.asarray(prior.means)
-    v = np.asarray(prior.stds) ** 2 + sigma * sigma
-    logw = np.log(np.maximum(prior.weights, 1e-300))
-    yy = y[..., None]
-    logp = logw - 0.5 * (np.log(2.0 * np.pi * v) + (yy - m) ** 2 / v)
-    resp = np.exp(logp - logsumexp(logp, axis=-1, keepdims=True))
+    yy, m, v, resp = gaussian_responsibilities(y, prior, sigma * sigma)
     score = np.sum(resp * ((m - yy) / v), axis=-1)
     return ScoreField(score, backend="oracle-gaussian")
+
+
+def gaussian_responsibilities(y, prior: GmmPrior, var: float):
+    """Posterior component weights p(j | y) under Gaussian noise of variance
+    ``var``, shape ``y.shape + (components,)``; returns them after
+    ``y[..., None]``, the means m_j and the marginal variances s_j^2 + var."""
+    yy = np.asarray(y, dtype=np.float64)[..., None]
+    m = np.asarray(prior.means)
+    v = np.asarray(prior.stds) ** 2 + var
+    logw = np.log(np.maximum(prior.weights, 1e-300))
+    logp = logw - 0.5 * (np.log(2.0 * np.pi * v) + (yy - m) ** 2 / v)
+    return yy, m, v, np.exp(logp - logsumexp(logp, axis=-1, keepdims=True))
 
 
 def _component_nodes(prior: GmmPrior, order: int):
@@ -83,7 +89,9 @@ def _component_nodes(prior: GmmPrior, order: int):
     return np.concatenate(xs), np.concatenate(logws)
 
 
-def _quad_score_once(y, prior, model, order):
+def quadrature_posterior(y, prior: GmmPrior, model: NoiseModel, order: int):
+    """Gauss-Legendre nodes ``xs`` and the posterior weights p(x_j | y) over
+    them, shape ``y.shape + xs.shape``, for Poisson or Gamma noise."""
     xs, logws = _component_nodes(prior, order)
     kind = ModelKind(model.kind)
     yy = np.asarray(y, dtype=np.float64)[..., None]
@@ -91,18 +99,25 @@ def _quad_score_once(y, prior, model, order):
         zeta = model.level
         n = yy / zeta
         loglik = n * np.log(xs / zeta) - xs / zeta - gammaln(n + 1.0)
-        post = loglik + logws
-        post -= logsumexp(post, axis=-1, keepdims=True)
-        e_logx = np.sum(np.exp(post) * np.log(xs / zeta), axis=-1)
-        return (e_logx - digamma(np.asarray(y, dtype=np.float64) / zeta + 1.0)) / zeta
-    if kind is ModelKind.GAMMA:
+    elif kind is ModelKind.GAMMA:
         k = model.level
         loglik = k * np.log(k / xs) - gammaln(k) + (k - 1.0) * np.log(yy) - (k / xs) * yy
-        post = loglik + logws
-        post -= logsumexp(post, axis=-1, keepdims=True)
-        e_inv = np.sum(np.exp(post) / xs, axis=-1)
-        return (k - 1.0) / np.asarray(y, dtype=np.float64) - k * e_inv
-    raise DomainError(f"quadrature oracle only covers Poisson/Gamma, got {kind}")
+    else:
+        raise DomainError(f"quadrature oracle only covers Poisson/Gamma, got {kind}")
+    post = loglik + logws
+    post -= logsumexp(post, axis=-1, keepdims=True)
+    return xs, np.exp(post)
+
+
+def _quad_score_once(y, prior, model, order):
+    xs, post = quadrature_posterior(y, prior, model, order)
+    y = np.asarray(y, dtype=np.float64)
+    if ModelKind(model.kind) is ModelKind.POISSON:
+        zeta = model.level
+        e_logx = np.sum(post * np.log(xs / zeta), axis=-1)
+        return (e_logx - digamma(y / zeta + 1.0)) / zeta
+    k = model.level
+    return (k - 1.0) / y - k * np.sum(post / xs, axis=-1)
 
 
 def numeric_marginal_score(

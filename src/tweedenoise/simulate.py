@@ -156,7 +156,10 @@ def sample_noisy(x: np.ndarray, model: NoiseModel, seed: int) -> np.ndarray:
     if kind is ModelKind.GAUSSIAN:
         y = x + math.sqrt(model.level) * rng.standard_normal(x.shape)
     elif kind is ModelKind.POISSON:
-        y = model.level * rng.poisson(x / model.level).astype(np.float64)
+        try:
+            y = model.level * rng.poisson(x / model.level).astype(np.float64)
+        except ValueError as exc:  # numpy cannot draw at rates this large
+            raise DomainError(f"Poisson rate x/zeta out of range for zeta={model.level}: {exc}") from exc
     elif kind is ModelKind.GAMMA:
         k = model.level
         y = x * rng.gamma(shape=k, scale=1.0 / k, size=x.shape)

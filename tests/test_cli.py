@@ -1,15 +1,33 @@
+import contextlib
 import csv
+import io
 import json
 import math
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from tweedenoise import EPS_Y, init_mlp, load_checkpoint, load_tensor
+from tweedenoise import (
+    EPS_Y,
+    DenoiseCfg,
+    GmmPrior,
+    analytic_score_gaussian,
+    blind_estimate,
+    denoise_blind,
+    denoise_estimated,
+    init_mlp,
+    load_checkpoint,
+    load_tensor,
+)
+from tweedenoise import cli
 from tweedenoise.cli import main
 
 SIGMA = 25.0 / 255.0
+PALETTE = GmmPrior((0.2, 0.8), (0.3, 0.9), (0.005, 0.005))
 
 
 def base_config(out_dir):
@@ -101,20 +119,81 @@ def test_out_override(tmp_path):
 
 def test_config_error_exit_codes(tmp_path):
     out = tmp_path / "o"
-    cases = []
-    c = base_config(out); c["typo_key"] = 1; cases.append(c)
-    c = base_config(out); c["synth"]["regioms"] = 4; cases.append(c)
-    c = base_config(out); c["schema_version"] = 3; cases.append(c)
-    c = base_config(out); del c["seed"]; cases.append(c)
-    c = base_config(out); c["score_backend"] = "oracle-mystery"; cases.append(c)
-    c = base_config(out); c["score_backend"] = "ardae:missing.npz"; cases.append(c)
-    c = base_config(out); c["noise"]["model"] = "levy"; cases.append(c)
-    for i, c in enumerate(cases):
-        assert run("synth", write_config(tmp_path, c, f"c{i}.json")) == 2, c
+    assert run("synth", write_config(tmp_path, base_config(out), "base.json")) == 0
+    cases = []  # (command, config)
+    c = base_config(out); c["typo_key"] = 1; cases.append(("synth", c))
+    c = base_config(out); c["synth"]["regioms"] = 4; cases.append(("synth", c))
+    c = base_config(out); c["schema_version"] = 3; cases.append(("synth", c))
+    c = base_config(out); del c["seed"]; cases.append(("synth", c))
+    c = base_config(out); c["seed"] = True; cases.append(("synth", c))
+    c = base_config(out); c["score_backend"] = "oracle-mystery"; cases.append(("synth", c))
+    c = base_config(out); c["score_backend"] = "ardae:missing.npz"; cases.append(("synth", c))
+    c = base_config(out); c["noise"]["model"] = "levy"; cases.append(("synth", c))
+    c = base_config(out); del c["noise"]["level"]; cases.append(("synth", c))
+    c = base_config(out); del c["synth"]["prior"]["means"]; cases.append(("synth", c))
+    c = base_config(out); c["synth"]["height"] = "abc"; cases.append(("synth", c))
+    c = base_config(out); c["estimation"] = {"eps": "x"}; cases.append(("synth", c))
+    c = base_config(out); c["ardae"] = {"hidden": 5}; cases.append(("synth", c))
+    # an oracle backend needs the prior and noise sections, and only fits its own families
+    c = base_config(out); del c["synth"], c["noise"]; cases += [("estimate", c), ("eval", c)]
+    for model, level in (("poisson", 0.02), ("gamma", 50)):
+        c = base_config(out); c["noise"] = {"model": model, "level": level}; cases.append(("estimate", c))
+    for i, (command, c) in enumerate(cases):
+        assert run(command, write_config(tmp_path, c, f"c{i}.json")) == 2, (command, c)
     assert run("synth", str(tmp_path / "nope.json")) == 2
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
     assert run("synth", str(bad)) == 2
+    manifest = out / "manifest.json"
+    manifest.write_text(manifest.read_text()[:40])  # truncated
+    assert run("estimate", str(tmp_path / "base.json")) == 2
+
+
+# every key of base_config but out_dir, by its path; a mutation replaces or deletes one
+def _paths(d, prefix=()):
+    for key, value in d.items():
+        if prefix + (key,) != ("out_dir",):
+            yield prefix + (key,)
+        if isinstance(value, dict):
+            yield from _paths(value, prefix + (key,))
+
+
+DELETE = object()
+MUTATIONS = st.lists(
+    st.tuples(
+        st.sampled_from(sorted(_paths(base_config("o")))),
+        st.one_of(
+            st.just(DELETE), st.none(), st.booleans(), st.integers(-2, 66),
+            st.floats(allow_nan=True, allow_infinity=True), st.text(max_size=4),
+            st.sampled_from(["gaussian", "poisson", "gamma", "invgauss", "gmm_iid", "oracle-quadrature"]),
+            st.lists(st.floats(-1.0, 2.0), max_size=3), st.dictionaries(st.text(max_size=2), st.integers(), max_size=2),
+        ),
+    ),
+    min_size=1, max_size=3,
+)
+
+
+@settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(MUTATIONS)
+def test_mutated_configs_exit_cleanly(mutations):
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = base_config(Path(tmp) / "out")
+        for path, value in mutations:
+            parent = cfg
+            for key in path[:-1]:
+                parent = parent.get(key) if isinstance(parent, dict) else None
+            if isinstance(parent, dict):
+                if value is DELETE:
+                    parent.pop(path[-1], None)
+                else:
+                    parent[path[-1]] = value
+        cfg_path = write_config(Path(tmp), cfg)
+        for command in ("synth", "estimate", "eval"):
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err):
+                code = run(command, cfg_path)
+            assert code in (0, 2, 3, 4), (command, code, cfg)
+            assert "Traceback" not in err.getvalue()
 
 
 def test_estimate_without_manifest_fails(tmp_path):
@@ -149,6 +228,30 @@ def test_estimate_summary_accuracy_and_level(synth_run):
     assert rep["model"] == "gaussian"
     assert rep["backend"] == "oracle-gaussian"
     assert rep["pixel_count"] == 4 * 64 * 64
+
+
+@pytest.mark.parametrize("pooled", [True, False])
+def test_cli_rows_equal_the_library(tmp_path, pooled):
+    # image i is probed with seed + i in both the CLI and the library
+    out = tmp_path / "run"
+    cfg = base_config(out)
+    cfg["estimation"] = {"pooled": pooled}
+    cfg_path = write_config(tmp_path, cfg)
+    for command in ("synth", "estimate", "denoise"):
+        assert run(command, cfg_path) == 0
+    _, rows = read_csv(out / "estimates.csv")
+    ys = [load_tensor(out / f"noisy_{i:03d}.f32") for i in range(4)]
+    backend = lambda v: analytic_score_gaussian(v, PALETTE, SIGMA)
+    if pooled:
+        me, le, pairs, f1 = blind_estimate(ys, backend, DenoiseCfg(seed=11))
+        expected = [denoise_estimated(p.y1, s1, me, le) for p, s1 in zip(pairs, f1)]
+    else:
+        expected = [denoise_blind(y, backend, DenoiseCfg(seed=11 + i)) for i, y in enumerate(ys)]
+    for i, (row, (xhat, report)) in enumerate(zip(rows, expected)):
+        assert float(row[1]) == report.model_estimate.rho_hat
+        assert row[2] == report.model_estimate.classified
+        assert float(row[3]) == math.sqrt(report.level_estimate.value)
+        np.testing.assert_array_equal(load_tensor(out / f"denoised_{i:03d}.f32"), xhat.astype(np.float32))
 
 
 def test_estimate_failure_exit_code(synth_run):
@@ -244,6 +347,32 @@ def test_train_writes_checkpoint_and_loss_curve(tmp_path):
     assert all(float(r[2]) <= float(r[1]) for r in rows)
     lrs = [float(r[3]) for r in rows]
     assert lrs[0] == 2e-4 and lrs[-1] == 2e-5  # ten-fold drop halfway
+
+
+def test_seed_override_reaches_training(tmp_path):
+    out = tmp_path / "t"
+    cfg_path = write_config(tmp_path, train_config(out))
+    assert run("synth", cfg_path) == 0
+    assert run("train", cfg_path) == 0
+    first, _ = load_checkpoint(out / "checkpoint.npz")
+    assert run("train", cfg_path, "--seed", "99") == 0
+    params, header = load_checkpoint(out / "checkpoint.npz")
+    assert header["config"]["seed"] == 99
+    assert not np.array_equal(params.weights[0], first.weights[0])
+
+
+def test_eval_loads_the_checkpoint_once(tmp_path, monkeypatch):
+    out = tmp_path / "t"
+    cfg = train_config(out)
+    cfg_path = write_config(tmp_path, cfg)
+    assert run("synth", cfg_path) == 0
+    assert run("train", cfg_path) == 0
+    loads = []
+    real = cli.load_checkpoint
+    monkeypatch.setattr(cli, "load_checkpoint", lambda path: loads.append(path) or real(path))
+    cfg["score_backend"] = f"ardae:{out / 'checkpoint.npz'}"
+    assert run("eval", write_config(tmp_path, cfg, "eval.json")) == 0
+    assert len(loads) == 1
 
 
 def test_train_zero_epochs_equals_init(tmp_path):
