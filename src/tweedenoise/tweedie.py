@@ -187,33 +187,75 @@ def alpha_term(y, params: TweedieParams, score):
     return params.phi * np.power(y, params.rho - 1.0) * (params.rho / (2.0 * y) + score)
 
 
-def posterior_mean_universal(y, params: TweedieParams, score):
-    """Posterior mean y*(1 + (1-rho)*alpha)^(1/(1-rho)) for any rho.
-
-    Near rho = 1 the L'Hospital limit y*exp(alpha) is used.  Raises
-    :class:`SingularEstimateError` if the base of the fractional power is
-    not positive at some pixel; see :func:`denoise_field` for the guarded
-    batch variant.
-    """
+def _universal(y, params: TweedieParams, score):
+    """(y, xhat, base) of the universal formula.  ``base`` is the
+    fractional-power base 1 + (1-rho)*alpha, None on the rho = 0 and
+    rho -> 1 branches, which take no such power; xhat is meaningless
+    wherever base is not positive."""
     a = alpha_term(y, params, score)
     y = np.asarray(y, dtype=np.float64)
     if params.rho == 0.0:
         # exponent 1/(1-rho) is exactly 1; the reduction to y + phi*l'(y)
         # is an algebraic identity and evaluating it directly keeps the
         # Gaussian case exact (no power/cancellation round-off)
-        return y + params.phi * np.asarray(score, dtype=np.float64)
+        return y, y + params.phi * np.asarray(score, dtype=np.float64), None
     if abs(params.rho - 1.0) < BRANCH_EPS:
-        return y * np.exp(a)
+        return y, y * np.exp(a), None
     r1 = 1.0 - params.rho
     base = 1.0 + r1 * a
-    bad = base <= 0.0
-    if np.any(bad):
-        idx = int(np.flatnonzero(np.atleast_1d(bad))[0])
+    with np.errstate(invalid="ignore"):
+        return y, y * np.power(np.where(base <= 0.0, 1.0, base), 1.0 / r1), base
+
+
+def posterior_mean_universal(y, params: TweedieParams, score):
+    """Posterior mean y*(1 + (1-rho)*alpha)^(1/(1-rho)) for any rho.
+
+    Near rho = 1 the L'Hospital limit y*exp(alpha) is used.  Raises
+    :class:`SingularEstimateError` if the base of the fractional power is
+    not positive at some pixel; see :func:`guarded_universal` for the
+    guarded batch variant.
+    """
+    _, xhat, base = _universal(y, params, score)
+    if base is not None and np.any(base <= 0.0):
+        idx = int(np.flatnonzero(np.atleast_1d(base <= 0.0))[0])
         raise SingularEstimateError(
             f"non-positive fractional-power base at pixel {idx} "
             f"(rho={params.rho}, base={np.atleast_1d(base).ravel()[idx]:.3e})"
         )
-    return y * np.power(base, 1.0 / r1)
+    return xhat
+
+
+def guarded_universal(y, params: TweedieParams, score):
+    """Universal formula with the fractional-power guard.
+
+    Pixels where 1 + (1-rho)*alpha <= 0 fall back to xhat = y; returns
+    ``(xhat, n_fallback)``.
+    """
+    y, xhat, base = _universal(y, params, score)
+    if base is None:
+        return xhat, 0
+    bad = base <= 0.0
+    return np.where(bad, y, xhat), int(np.count_nonzero(bad))
+
+
+def _family_mean(y, model: NoiseModel, score):
+    """(y, xhat, denom) of the closed-form family means.  For Gamma, denom
+    is (k - 1) - y*l'(y) and xhat divides by it clamped below at
+    GAMMA_DENOM_FLOOR; denom is None for the other families."""
+    model.validate()
+    y = _check_positive("y", y)
+    score = np.asarray(score, dtype=np.float64)
+    kind = ModelKind(model.kind)
+    if kind is ModelKind.GAUSSIAN:
+        return y, y + model.level * score, None
+    if kind is ModelKind.POISSON:
+        with np.errstate(over="ignore"):
+            return y, (y + model.level / 2.0) * np.exp(model.level * score), None
+    if kind is ModelKind.GAMMA:
+        k = model.level
+        denom = (k - 1.0) - y * score
+        return y, k * y / np.maximum(denom, GAMMA_DENOM_FLOOR), denom
+    raise DomainError(f"no denoising formula for {kind}")
 
 
 def posterior_mean_special(y, model: NoiseModel, score):
@@ -222,28 +264,19 @@ def posterior_mean_special(y, model: NoiseModel, score):
     Gaussian:  y + sigma^2 * l'(y)
     Poisson:   (y + zeta/2) * exp(zeta * l'(y))
     Gamma:     k*y / ((k - 1) - y*l'(y))
+
+    Raises :class:`SingularEstimateError` where a Gamma denominator is at or
+    below GAMMA_DENOM_FLOOR; see :func:`denoise_field` for the guarded
+    batch variant.
     """
-    model.validate()
-    y = _check_positive("y", y)
-    score = np.asarray(score, dtype=np.float64)
-    kind = ModelKind(model.kind)
-    if kind is ModelKind.GAUSSIAN:
-        return y + model.level * score
-    if kind is ModelKind.POISSON:
-        with np.errstate(over="ignore"):
-            return (y + model.level / 2.0) * np.exp(model.level * score)
-    if kind is ModelKind.GAMMA:
-        k = model.level
-        denom = (k - 1.0) - y * score
-        bad = denom <= GAMMA_DENOM_FLOOR
-        if np.any(bad):
-            idx = int(np.flatnonzero(np.atleast_1d(bad))[0])
-            raise SingularEstimateError(
-                f"Gamma denominator {np.atleast_1d(denom).ravel()[idx]:.3e} at or "
-                f"below floor {GAMMA_DENOM_FLOOR} at pixel {idx}"
-            )
-        return k * y / denom
-    raise DomainError(f"no denoising formula for {kind}")
+    _, xhat, denom = _family_mean(y, model, score)
+    if denom is not None and np.any(denom <= GAMMA_DENOM_FLOOR):
+        idx = int(np.flatnonzero(np.atleast_1d(denom <= GAMMA_DENOM_FLOOR))[0])
+        raise SingularEstimateError(
+            f"Gamma denominator {np.atleast_1d(denom).ravel()[idx]:.3e} at or "
+            f"below floor {GAMMA_DENOM_FLOOR} at pixel {idx}"
+        )
+    return xhat
 
 
 def denoise_field(y, model: NoiseModel, score):
@@ -253,47 +286,10 @@ def denoise_field(y, model: NoiseModel, score):
     at :data:`GAMMA_DENOM_FLOOR`; any remaining non-finite estimate falls
     back to the identity xhat = y.  Both events count as singular pixels.
     """
-    model.validate()
-    y = _check_positive("y", y)
-    score = np.asarray(score, dtype=np.float64)
-    kind = ModelKind(model.kind)
-    n_singular = 0
-    if kind is ModelKind.GAUSSIAN:
-        xhat = y + model.level * score
-    elif kind is ModelKind.POISSON:
-        with np.errstate(over="ignore"):
-            xhat = (y + model.level / 2.0) * np.exp(model.level * score)
-    elif kind is ModelKind.GAMMA:
-        k = model.level
-        denom = (k - 1.0) - y * score
-        clamped = denom < GAMMA_DENOM_FLOOR
-        n_singular += int(np.count_nonzero(clamped))
-        xhat = k * y / np.maximum(denom, GAMMA_DENOM_FLOOR)
-    else:
-        raise DomainError(f"no denoising formula for {kind}")
+    y, xhat, denom = _family_mean(y, model, score)
+    n_singular = 0 if denom is None else int(np.count_nonzero(denom < GAMMA_DENOM_FLOOR))
     bad = ~np.isfinite(xhat)
     if np.any(bad):
         n_singular += int(np.count_nonzero(bad))
         xhat = np.where(bad, y, xhat)
     return xhat, n_singular
-
-
-def guarded_universal(y, params: TweedieParams, score):
-    """Universal formula with the fractional-power guard.
-
-    Pixels where 1 + (1-rho)*alpha <= 0 fall back to xhat = y; returns
-    ``(xhat, n_fallback)``.
-    """
-    a = alpha_term(y, params, score)
-    y = np.asarray(y, dtype=np.float64)
-    if params.rho == 0.0:
-        return y + params.phi * np.asarray(score, dtype=np.float64), 0
-    if abs(params.rho - 1.0) < BRANCH_EPS:
-        return y * np.exp(a), 0
-    r1 = 1.0 - params.rho
-    base = 1.0 + r1 * a
-    bad = base <= 0.0
-    with np.errstate(invalid="ignore"):
-        xhat = y * np.power(np.where(bad, 1.0, base), 1.0 / r1)
-    xhat = np.where(bad, y, xhat)
-    return xhat, int(np.count_nonzero(bad))
