@@ -67,7 +67,7 @@ EXIT_VALIDATION = 2
 EXIT_ESTIMATION = 3
 EXIT_DIVERGENCE = 4
 
-NUMBER = (int, float)
+_NUMBER = (int, float)
 # the accepted types of each key of the config and manifest objects; [t] is a list of t
 _SCHEMA = {
     "top level": {
@@ -75,15 +75,15 @@ _SCHEMA = {
         "score_backend": str, "ardae": dict, "estimation": dict,
     },
     "synth": {"kind": str, "height": int, "width": int, "regions": int, "count": int, "prior": dict},
-    "synth.prior": {"weights": [NUMBER], "means": [NUMBER], "stds": [NUMBER]},
-    "noise": {"model": str, "level": NUMBER},
-    "estimation": {"eps": NUMBER, "mask_eps": NUMBER, "rho_assumed": NUMBER, "pooled": bool},
+    "synth.prior": {"weights": [_NUMBER], "means": [_NUMBER], "stds": [_NUMBER]},
+    "noise": {"model": str, "level": _NUMBER},
+    "estimation": {"eps": _NUMBER, "mask_eps": _NUMBER, "rho_assumed": _NUMBER, "pooled": bool},
     "ardae": {  # the ArdaeConfig fields but its seed
-        "sigma_a_max": NUMBER, "sigma_a_min": NUMBER, "schedule_len": int, "ema_decay": NUMBER,
-        "epochs": int, "batch_size": int, "lr": NUMBER, "lr_decay_epoch": (int, type(None)),
+        "sigma_a_max": _NUMBER, "sigma_a_min": _NUMBER, "schedule_len": int, "ema_decay": _NUMBER,
+        "epochs": int, "batch_size": int, "lr": _NUMBER, "lr_decay_epoch": (int, type(None)),
         "patch_radius": int, "hidden": [int],
     },
-    "manifest": {"schema_version": int, "model": str, "level": NUMBER, "images": [dict]},
+    "manifest": {"schema_version": int, "model": str, "level": _NUMBER, "images": [dict]},
     "manifest image": {"index": int, "clean": str, "noisy": str, "noise_seed": int},
 }
 # the noise families each oracle score backend is exact for
@@ -336,7 +336,7 @@ def _denoise_batch(cfg, save_tensors: bool) -> int:
     out = Path(cfg["out_dir"])
     manifest = _load_manifest(out)
     images = manifest["images"]
-    _need_truth(cfg, "the known-level and oracle columns")
+    _need_truth(cfg, "denoise/eval")
     truth = _true_model(cfg)
     backend = make_backend(cfg)
     dn = DenoiseCfg(seed=cfg["seed"], **cfg["estimation"])

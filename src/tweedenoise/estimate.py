@@ -30,9 +30,8 @@ reported.
 
 from __future__ import annotations
 
-import dataclasses
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -88,7 +87,7 @@ class EstimationReport:
     backend: str
 
     def to_json(self) -> str:
-        return json.dumps(dataclasses.asdict(self), sort_keys=True)
+        return json.dumps(asdict(self), sort_keys=True)
 
 
 def perturb(y1: np.ndarray, eps: float, seed: int) -> PerturbationPair:
