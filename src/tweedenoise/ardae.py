@@ -25,12 +25,13 @@ from __future__ import annotations
 
 import copy
 import json
+import zipfile
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from .errors import DomainError, TrainingDivergence
+from .errors import DomainError, TrainingDivergence, ValidationError
 from .scores import ScoreField, geometric_schedule
 
 IN_SHIFT = 0.5
@@ -304,18 +305,18 @@ def save_checkpoint(path, params: MlpParams, config: ArdaeConfig) -> None:
 
 
 def load_checkpoint(path):
-    """Returns (MlpParams, header dict)."""
-    with np.load(path) as z:
-        header = json.loads(bytes(z["header"]).decode())
-        if header.get("version") != CHECKPOINT_VERSION:
-            raise DomainError(f"unsupported checkpoint version {header.get('version')!r}")
-        n_layers = len(header["layer_sizes"]) - 1
-        params = MlpParams(
-            [z[f"w{i}"] for i in range(n_layers)],
-            [z[f"b{i}"] for i in range(n_layers)],
-            [z[f"ew{i}"] for i in range(n_layers)],
-            [z[f"eb{i}"] for i in range(n_layers)],
-        )
+    """Returns (MlpParams, header dict); a file that is no checkpoint raises
+    :class:`ValidationError`."""
+    try:
+        with np.load(path) as z:
+            header = json.loads(bytes(z["header"]).decode())
+            arrays = dict(z)
+    except (OSError, ValueError, KeyError, TypeError, zipfile.BadZipFile) as exc:
+        raise ValidationError(f"{path} is not a checkpoint: {exc}") from exc
+    if header.get("version") != CHECKPOINT_VERSION:
+        raise DomainError(f"unsupported checkpoint version {header.get('version')!r}")
+    n_layers = len(header["layer_sizes"]) - 1
+    params = MlpParams(*([arrays[f"{kind}{i}"] for i in range(n_layers)] for kind in ("w", "b", "ew", "eb")))
     return params, header
 
 

@@ -13,8 +13,9 @@ Exit codes: 0 success, 2 malformed config or manifest, 3 estimation failure
 (quadrature non-convergence included), 4 training divergence.
 
 Blind estimation runs through ``pipeline``, which probes image i with seed
-``seed + i``: one ``blind_estimate`` over all images when pooled, else
-``denoise_blind`` per image.
+``seed + i``: one ``blind_estimate`` over all images when pooled, else one
+per image.  ``denoise``/``eval`` reuse its score at y1 (y itself) for the
+known-level column, so each image is scored twice.
 """
 
 from __future__ import annotations
@@ -41,7 +42,6 @@ from .estimate import EstimationReport
 from .pipeline import (
     DenoiseCfg,
     blind_estimate,
-    denoise_blind,
     denoise_estimated,
     denoise_known,
     posterior_mean_field,
@@ -349,11 +349,13 @@ def _denoise_batch(cfg, save_tensors: bool) -> int:
         x = load_tensor(out / im["clean"])
         y = ys[i] if cfg["pooled"] else load_tensor(out / im["noisy"])
         row = {"image": im["index"], "noisy": psnr(x, y)}
+        s1 = None  # the blind path's score at y1, which is the very array y
         try:
             if cfg["pooled"]:
-                xb, report = denoise_estimated(pairs[i].y1, f1[i], me, le)
+                pair, s1 = pairs[i], f1[i]
             else:
-                xb, report = denoise_blind(y, backend, dataclasses.replace(dn, seed=dn.seed + im["index"]))
+                me, le, (pair,), (s1,) = blind_estimate([y], backend, dataclasses.replace(dn, seed=dn.seed + im["index"]))
+            xb, report = denoise_estimated(pair.y1, s1, me, le)
             row["blind"] = psnr(x, xb)
             row["error"] = ""
             if save_tensors:
@@ -369,7 +371,9 @@ def _denoise_batch(cfg, save_tensors: bool) -> int:
             log.warning("image %s blind path failed: %s", im["index"], exc)
             row["blind"] = float("nan")
             row["error"] = str(exc)
-        xk = denoise_known(y, truth, backend)
+            if getattr(exc, "report", None) is not None and exc.report.y1_scores:
+                s1 = exc.report.y1_scores[0]  # classified unknown
+        xk = denoise_known(y, truth, backend if s1 is None else lambda _: s1)
         row["known"] = psnr(x, xk)
         xo = posterior_mean_field(y, cfg["prior"], truth)
         row["oracle"] = psnr(x, np.clip(xo, EPS_Y, 1.0))
@@ -423,7 +427,10 @@ def main(argv=None) -> int:
         if args.out is not None:
             cfg["out_dir"] = args.out
         out = Path(cfg["out_dir"])
-        out.mkdir(parents=True, exist_ok=True)
+        try:
+            out.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:  # e.g. out_dir names an existing file
+            raise ValidationError(f"out_dir {out} cannot be a directory: {exc}") from exc
         logging.basicConfig(
             level=logging.INFO,
             format="%(asctime)s %(levelname)s %(message)s",

@@ -61,9 +61,8 @@ class DenoiseReport:
     model_estimate: ModelEstimate | None = None
     level_estimate: LevelEstimate | None = None
     n_singular: int = 0
-    psnr_noisy: float | None = None
-    psnr_denoised: float | None = None
     timings: dict = field(default_factory=dict)
+    y1_scores: list = field(default_factory=list)  # per image, on an unknown-classification report
 
     def to_dict(self) -> dict:
         """JSON-ready dict; wall-clock timings deliberately excluded so that
@@ -77,8 +76,6 @@ class DenoiseReport:
             "level": None if le is None else le.value,
             "level_pixels": None if le is None else le.pixel_count,
             "n_singular": self.n_singular,
-            "psnr_noisy": self.psnr_noisy,
-            "psnr_denoised": self.psnr_denoised,
         }
 
 
@@ -100,7 +97,8 @@ def blind_estimate(ys, score_backend, cfg: DenoiseCfg):
     statistics are pooled across all images in ``ys``; the per-image pairs
     and y1-scores are returned so callers can apply the formula without
     re-evaluating the backend.  Raises :class:`EstimationFailure` (with a
-    partial report attached) on unknown classification.
+    partial report attached, ``y1_scores`` included) on unknown
+    classification.
     """
     cfg.validate()
     pairs, f1, f2 = [], [], []
@@ -112,7 +110,7 @@ def blind_estimate(ys, score_backend, cfg: DenoiseCfg):
     pooled_pair, s1, s2 = _pool(pairs, f1, f2)
     me = estimate_rho(pooled_pair, s1, s2, mask_eps=cfg.mask_eps, rho_assumed=cfg.rho_assumed)
     if me.classified == UNKNOWN:
-        report = DenoiseReport(backend=s1.backend, model_estimate=me)
+        report = DenoiseReport(backend=s1.backend, model_estimate=me, y1_scores=f1)
         raise EstimationFailure(
             f"rho_hat={me.rho_hat:.3f} classified as unknown; no level estimator applies",
             report=report,
@@ -233,5 +231,4 @@ def posterior_mean_field(y, prior: GmmPrior, model: NoiseModel, order: int = 96)
     if kind is ModelKind.GAUSSIAN:
         yy, m, v, resp = gaussian_responsibilities(y, prior, model.level)
         return np.sum(resp * ((np.asarray(prior.stds) ** 2 * yy + model.level * m) / v), axis=-1)
-    xs, post = quadrature_posterior(y, prior, model, order)
-    return np.sum(post * xs, axis=-1)
+    return quadrature_posterior(y, prior, model, order)[1]

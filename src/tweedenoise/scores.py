@@ -17,6 +17,16 @@ same under-the-integral route serves both kinds; the digamma term is the
 exact derivative of the interpolated normalizer.  Every call is
 double-checked against a doubled quadrature order and fails loudly rather
 than returning an unconverged score.
+
+On the log scale the node posterior p(x_j | y) is affine in y: the terms
+constant in x (lgamma(n+1); lgamma(k) and (k-1)*log(y)) cancel on
+normalisation, leaving c_j + y*d_j, with logw_j the node's log-weight:
+
+    Poisson  c_j = logw_j - x_j/zeta,        d_j = log(x_j/zeta)/zeta
+    Gamma    c_j = logw_j + k*log(k/x_j),    d_j = -k/x_j
+
+``quadrature_posterior`` evaluates it in blocks of QUAD_BLOCK pixels, which
+bounds memory whatever the image size, for the score and the oracle column.
 """
 
 from __future__ import annotations
@@ -25,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
-from scipy.special import digamma, gammaln, logsumexp
+from scipy.special import digamma, logsumexp
 
 from .errors import DomainError, QuadratureError
 from .simulate import GmmPrior
@@ -34,6 +44,7 @@ from .tweedie import EPS_Y, ModelKind, NoiseModel
 QUAD_ORDER = 48  # per-component Gauss-Legendre points
 QUAD_SPAN = 8.0  # integrate each component over mean +- QUAD_SPAN stds
 CONVERGENCE_TOL = 1e-6  # max |score(order) - score(2*order)| allowed
+QUAD_BLOCK = 2048  # pixels per block of the quadrature kernel
 
 
 @dataclass(frozen=True)
@@ -90,34 +101,45 @@ def _component_nodes(prior: GmmPrior, order: int):
 
 
 def quadrature_posterior(y, prior: GmmPrior, model: NoiseModel, order: int):
-    """Gauss-Legendre nodes ``xs`` and the posterior weights p(x_j | y) over
-    them, shape ``y.shape + xs.shape``, for Poisson or Gamma noise."""
+    """(E[f(x) | y], E[x | y]) over the quadrature nodes, each shaped like
+    ``y``, for Poisson or Gamma noise, with f = log(x/zeta) (Poisson) or 1/x
+    (Gamma).  Per block, [y, 1] @ [d; c] fills a reused buffer with the node
+    logits, which are shifted by their row max and exponentiated in place;
+    one product with the node columns [1, f, x] sums all three moments."""
     xs, logws = _component_nodes(prior, order)
     kind = ModelKind(model.kind)
-    yy = np.asarray(y, dtype=np.float64)[..., None]
     if kind is ModelKind.POISSON:
         zeta = model.level
-        n = yy / zeta
-        loglik = n * np.log(xs / zeta) - xs / zeta - gammaln(n + 1.0)
+        f = np.log(xs / zeta)
+        c, d = logws - xs / zeta, f / zeta
     elif kind is ModelKind.GAMMA:
         k = model.level
-        loglik = k * np.log(k / xs) - gammaln(k) + (k - 1.0) * np.log(yy) - (k / xs) * yy
+        f = 1.0 / xs
+        c, d = logws + k * np.log(k / xs), -k * f
     else:
         raise DomainError(f"quadrature oracle only covers Poisson/Gamma, got {kind}")
-    post = loglik + logws
-    post -= logsumexp(post, axis=-1, keepdims=True)
-    return xs, np.exp(post)
+    dc, cols = np.stack([d, c]), np.stack([np.ones_like(xs), f, xs], axis=1)
+    flat = np.asarray(y, dtype=np.float64).ravel()
+    sums = np.empty((flat.size, 3))
+    y_one = np.ones((min(flat.size, QUAD_BLOCK), 2))
+    buf = np.empty((len(y_one), xs.size))
+    for lo in range(0, flat.size, QUAD_BLOCK):
+        n = min(QUAD_BLOCK, flat.size - lo)
+        y_one[:n, 0] = flat[lo : lo + n]
+        b = np.matmul(y_one[:n], dc, out=buf[:n])
+        b -= b.max(axis=1, keepdims=True)
+        np.exp(b, out=b)
+        np.matmul(b, cols, out=sums[lo : lo + n])
+    return tuple((sums[:, 1:] / sums[:, :1]).T.reshape(2, *np.shape(y)))
 
 
 def _quad_score_once(y, prior, model, order):
-    xs, post = quadrature_posterior(y, prior, model, order)
-    y = np.asarray(y, dtype=np.float64)
+    e_f, _ = quadrature_posterior(y, prior, model, order)
     if ModelKind(model.kind) is ModelKind.POISSON:
         zeta = model.level
-        e_logx = np.sum(post * np.log(xs / zeta), axis=-1)
-        return (e_logx - digamma(y / zeta + 1.0)) / zeta
+        return (e_f - digamma(y / zeta + 1.0)) / zeta
     k = model.level
-    return (k - 1.0) / y - k * np.sum(post / xs, axis=-1)
+    return (k - 1.0) / y - k * e_f
 
 
 def numeric_marginal_score(

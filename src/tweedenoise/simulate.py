@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, ValidationError
 from .tweedie import EPS_Y, ModelKind, NoiseModel
 
 PIECEWISE_CONSTANT = "piecewise_constant"
@@ -202,11 +202,14 @@ def save_tensor(path, arr: np.ndarray) -> None:
 
 def load_tensor(path) -> np.ndarray:
     path = Path(path)
-    meta = json.loads(path.with_suffix(path.suffix + ".json").read_text())
+    try:
+        meta = json.loads(path.with_suffix(path.suffix + ".json").read_text())
+        h, w = meta["shape"]
+        raw = np.frombuffer(path.read_bytes(), dtype="<f4")
+    except (OSError, ValueError, KeyError, TypeError) as exc:  # missing file, bad JSON, no 2-entry shape
+        raise ValidationError(f"tensor {path} is missing or malformed: {exc}") from exc
     if meta.get("dtype") != "f32":
         raise DomainError(f"unsupported dtype {meta.get('dtype')!r}")
-    h, w = meta["shape"]
-    raw = np.frombuffer(path.read_bytes(), dtype="<f4")
     if raw.size != h * w:
         raise DomainError(f"payload holds {raw.size} floats, sidecar says {h}x{w}")
     return raw.reshape(h, w).astype(np.float64)

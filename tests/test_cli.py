@@ -19,9 +19,11 @@ from tweedenoise import (
     blind_estimate,
     denoise_blind,
     denoise_estimated,
+    denoise_known,
     init_mlp,
     load_checkpoint,
     load_tensor,
+    psnr,
 )
 from tweedenoise import cli
 from tweedenoise.cli import main
@@ -144,9 +146,39 @@ def test_config_error_exit_codes(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
     assert run("synth", str(bad)) == 2
+    # a missing or garbled tensor file, in each command that reads tensors
+    breakages = [
+        ("estimate", lambda: (out / "noisy_000.f32.json").unlink()),
+        ("eval", lambda: (out / "clean_001.f32").unlink()),
+        ("denoise", lambda: (out / "noisy_002.f32.json").write_text("{not json")),
+        ("train", lambda: (out / "noisy_003.f32.json").write_text('{"dtype": "f32"}')),
+    ]
+    for command, breakage in breakages:
+        assert run("synth", str(tmp_path / "base.json")) == 0
+        breakage()
+        assert run(command, str(tmp_path / "base.json")) == 2, command
     manifest = out / "manifest.json"
     manifest.write_text(manifest.read_text()[:40])  # truncated
     assert run("estimate", str(tmp_path / "base.json")) == 2
+
+
+@pytest.mark.parametrize(
+    "write", [lambda p: p.write_bytes(b"not a checkpoint"), lambda p: np.savez(p, w0=np.zeros(3))],
+    ids=["text", "zip-without-header"],
+)
+def test_non_checkpoint_backend_file_exits_2(synth_run, write):
+    out, _, tmp_path = synth_run
+    fake = tmp_path / "fake.npz"
+    write(fake)
+    cfg = base_config(out)
+    cfg["score_backend"] = f"ardae:{fake}"
+    assert run("estimate", write_config(tmp_path, cfg, "fake.json")) == 2
+
+
+def test_out_dir_naming_a_file_exits_2(tmp_path):
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    assert run("synth", write_config(tmp_path, base_config(taken))) == 2
 
 
 # every key of base_config but out_dir, by its path; a mutation replaces or deletes one
@@ -311,6 +343,39 @@ def test_per_image_failures_are_recorded_not_fatal(synth_run):
         assert "mask_eps" in r[5]
         assert math.isnan(float(r[2]))
         assert float(r[3]) > 0  # known-level column still filled
+
+
+@pytest.mark.parametrize("pooled", [True, False])
+def test_eval_scores_each_image_twice(tmp_path, monkeypatch, pooled):
+    # at y1 and y2; the known-level column reuses the score at y1, which is y itself
+    calls = []
+    real = cli.make_backend
+
+    def counting_backend(cfg):
+        backend = real(cfg)
+        return lambda y: calls.append(y) or backend(y)
+
+    monkeypatch.setattr(cli, "make_backend", counting_backend)
+    out = tmp_path / "run"
+    cfg = base_config(out)
+    if not pooled:  # gamma data on which one image of three is classified unknown
+        cfg.update(seed=14, noise={"model": "gamma", "level": 50}, score_backend="oracle-quadrature",
+                   estimation={"pooled": False})
+        cfg["synth"].update(height=32, width=32, regions=16, count=3)
+    cfg_path = write_config(tmp_path, cfg)
+    assert run("synth", cfg_path) == 0
+    assert run("eval", cfg_path) == 0
+    _, rows = read_csv(out / "psnr.csv")
+    count = cfg["synth"]["count"]
+    assert len(calls) == 2 * count
+    if not pooled:
+        unknown = [r for r in rows if "classified as unknown" in r[5]]
+        assert len(unknown) == 1
+        i = int(unknown[0][0])
+        x, y = (load_tensor(out / f"{kind}_{i:03d}.f32") for kind in ("clean", "noisy"))
+        parsed = cli.parse_config(cfg_path)
+        xk = denoise_known(y, cli._true_model(parsed), real(parsed))  # a fresh score at y
+        assert float(unknown[0][3]) == psnr(x, xk)
 
 
 # ---------------------------------------------------------------------------

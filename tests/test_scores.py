@@ -1,6 +1,8 @@
+import tracemalloc
+
 import numpy as np
 import pytest
-from scipy.special import gammaln, logsumexp
+from scipy.special import digamma, gammaln, logsumexp
 
 from tweedenoise import (
     DomainError,
@@ -12,9 +14,12 @@ from tweedenoise import (
     analytic_score_gaussian,
     geometric_schedule,
     numeric_marginal_score,
+    posterior_mean_field,
 )
+from tweedenoise.scores import QUAD_BLOCK, _component_nodes
 
 P2 = GmmPrior((0.5, 0.5), (0.3, 0.9), (0.02, 0.02))
+P58 = GmmPrior((0.5, 0.5), (0.5, 0.8), (0.02, 0.02))
 
 
 def point_prior(x0, std=1e-9):
@@ -95,7 +100,6 @@ def test_poisson_point_prior_matches_finite_difference():
 
 def test_quadrature_self_convergence_on_narrow_priors():
     """Doubling the order moves the score by < 1e-8 on sd-0.02 mixtures."""
-    p58 = GmmPrior((0.5, 0.5), (0.5, 0.8), (0.02, 0.02))
     y = np.linspace(0.3, 1.1, 400)
     cases = [
         NoiseModel(ModelKind.POISSON, 0.05),
@@ -104,8 +108,8 @@ def test_quadrature_self_convergence_on_narrow_priors():
         NoiseModel(ModelKind.GAMMA, 40.0),
     ]
     for model in cases:
-        a = numeric_marginal_score(y, p58, model, order=48, check=False).values
-        b = numeric_marginal_score(y, p58, model, order=96, check=False).values
+        a = numeric_marginal_score(y, P58, model, order=48, check=False).values
+        b = numeric_marginal_score(y, P58, model, order=96, check=False).values
         assert np.max(np.abs(a - b)) <= 1e-8, model
 
 
@@ -126,6 +130,58 @@ def test_quadrature_domain_checks():
         numeric_marginal_score(1e-6, point_prior(0.5), NoiseModel(ModelKind.POISSON, 0.02))
     with pytest.raises(DomainError):
         numeric_marginal_score(0.5, point_prior(0.5), NoiseModel(ModelKind.GAUSSIAN, 0.01))
+
+
+QUAD_MODELS = [NoiseModel(ModelKind.POISSON, 0.05), NoiseModel(ModelKind.GAMMA, 50.0)]
+
+
+def logsumexp_reference(y, prior, model, order):
+    """The full per-node log-likelihood normalised by logsumexp, as the
+    oracles computed it before the blocked affine-logit kernel: returns the
+    score and E[x | y]."""
+    xs, logws = _component_nodes(prior, order)
+    y = np.asarray(y, dtype=np.float64)
+    yy = y[..., None]
+    if model.kind is ModelKind.POISSON:
+        zeta = model.level
+        n = yy / zeta
+        loglik = n * np.log(xs / zeta) - xs / zeta - gammaln(n + 1.0)
+    else:
+        k = model.level
+        loglik = k * np.log(k / xs) - gammaln(k) + (k - 1.0) * np.log(yy) - (k / xs) * yy
+    post = loglik + logws
+    post = np.exp(post - logsumexp(post, axis=-1, keepdims=True))
+    if model.kind is ModelKind.POISSON:
+        score = (np.sum(post * np.log(xs / zeta), axis=-1) - digamma(y / zeta + 1.0)) / zeta
+    else:
+        score = (k - 1.0) / y - k * np.sum(post / xs, axis=-1)
+    return score, np.sum(post * xs, axis=-1)
+
+
+@pytest.mark.parametrize("model", QUAD_MODELS, ids=lambda m: m.kind.value)
+@pytest.mark.parametrize("shape", [(), (0,), (QUAD_BLOCK - 1,), (QUAD_BLOCK + 1,), (37, 61)], ids=str)
+def test_quadrature_kernel_matches_logsumexp_reference(model, shape):
+    y = np.random.default_rng(3).uniform(0.3, 1.1, size=shape)
+    ref_score, ref_mean = logsumexp_reference(y, P58, model, 96)
+    score = numeric_marginal_score(y, P58, model).values  # the checked order-96 score
+    mean = posterior_mean_field(y, P58, model)
+    assert score.shape == mean.shape == np.shape(y)
+    if score.size:
+        assert np.max(np.abs(score - ref_score)) <= 1e-9
+        assert np.max(np.abs(mean - ref_mean) / ref_mean) <= 1e-12
+
+
+def test_quadrature_memory_is_bounded_by_the_block():
+    # a 512^2 field with its order-doubling check: the per-node arrays of all
+    # pixels at once would take 2 x 512^2 x 192 x 8 B = 768 MiB each
+    y = np.random.default_rng(4).uniform(0.3, 1.1, size=(512, 512))
+    tracemalloc.start()
+    try:
+        numeric_marginal_score(y, P58, QUAD_MODELS[0])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 32 * 2**20
 
 
 # ---------------------------------------------------------------------------
