@@ -17,8 +17,6 @@ import time
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import integrate
-from scipy.special import gammaln
 
 from .errors import DomainError, EstimationFailure, QuadratureError, ValidationError
 from .estimate import (
@@ -34,7 +32,7 @@ from .estimate import (
     estimate_rho,
     perturb,
 )
-from .scores import ScoreField, gaussian_responsibilities, quadrature_posterior
+from .scores import ScoreField, gaussian_posterior, quadrature_posterior
 from .simulate import GmmPrior
 from .tweedie import EPS_Y, ModelKind, NoiseModel, denoise_field
 
@@ -157,6 +155,7 @@ def _prior_component_bounds(prior: GmmPrior, nsd: float = 12.0):
 
 
 def _quad(f, lo, hi):
+    from scipy import integrate
     # epsabs admits negligible components (integrands are offset to O(1)
     # scale, so 1e-30 is far below any contribution that matters)
     val, err = integrate.quad(f, lo, hi, epsabs=1e-30, epsrel=1e-10, limit=200)
@@ -172,6 +171,7 @@ def brute_posterior_mean(y: float, prior: GmmPrior, model: NoiseModel) -> float:
     rejected because the continuous interpolation is exactly the saddle
     approximation this oracle must stay independent of.
     """
+    from scipy.special import gammaln
     model.validate()
     y = float(y)
     if y <= 0:
@@ -229,6 +229,6 @@ def posterior_mean_field(y, prior: GmmPrior, model: NoiseModel, order: int = 96)
     y = np.asarray(y, dtype=np.float64)
     kind = ModelKind(model.kind)
     if kind is ModelKind.GAUSSIAN:
-        yy, m, v, resp = gaussian_responsibilities(y, prior, model.level)
-        return np.sum(resp * ((np.asarray(prior.stds) ** 2 * yy + model.level * m) / v), axis=-1)
+        # per component the conjugate mean m_j + s_j^2 / v_j * (y - m_j)
+        return gaussian_posterior(y, prior, model.level, np.square(prior.stds), prior.means)
     return quadrature_posterior(y, prior, model, order)[1]

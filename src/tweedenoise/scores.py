@@ -1,10 +1,11 @@
 """Score oracles: l'(y) = d/dy log p(y) for known mixture priors.
 
 Gaussian noise admits a closed-form marginal (each mixture component
-convolves to another Gaussian), evaluated in log-sum-exp form.  Poisson and
-Gamma marginals are integrated by fixed-order Gauss-Legendre quadrature over
-each prior component, with the score taken by analytic differentiation under
-the integral:
+convolves to another Gaussian); ``gaussian_posterior`` evaluates its score
+and the oracle column component-major, per block of QUAD_BLOCK pixels.
+Poisson and Gamma marginals are integrated by fixed-order Gauss-Legendre
+quadrature over each prior component, with the score taken by analytic
+differentiation under the integral:
 
     Poisson  p(y|x) interpolated via lgamma:  n = y/zeta,
              log p = n*log(x/zeta) - x/zeta - lgamma(n+1)
@@ -27,15 +28,16 @@ normalisation, leaving c_j + y*d_j, with logw_j the node's log-weight:
 
 ``quadrature_posterior`` evaluates it in blocks of QUAD_BLOCK pixels, which
 bounds memory whatever the image size, for the score and the oracle column.
+scipy is imported only where it is used: digamma, in the Poisson score.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
-from scipy.special import digamma, logsumexp
 
 from .errors import DomainError, QuadratureError
 from .simulate import GmmPrior
@@ -64,30 +66,45 @@ class ScoreField:
 def analytic_score_gaussian(y, prior: GmmPrior, sigma: float) -> ScoreField:
     """Exact marginal score under Gaussian noise.
 
-    p(y) = sum_j w_j N(y; m_j, s_j^2 + sigma^2); the score is the
-    responsibility-weighted sum of per-component Gaussian scores.
+    p(y) = sum_j w_j N(y; m_j, v_j) with v_j = s_j^2 + sigma^2; the score is
+    the responsibility-weighted sum of per-component scores -(y - m_j) / v_j.
     """
     if not np.isfinite(sigma) or sigma <= 0:
         raise DomainError(f"sigma must be positive, got {sigma}")
-    yy, m, v, resp = gaussian_responsibilities(y, prior, sigma * sigma)
-    score = np.sum(resp * ((m - yy) / v), axis=-1)
-    return ScoreField(score, backend="oracle-gaussian")
+    return ScoreField(gaussian_posterior(y, prior, sigma * sigma, -1.0, 0.0), backend="oracle-gaussian")
 
 
-def gaussian_responsibilities(y, prior: GmmPrior, var: float):
-    """Posterior component weights p(j | y) under Gaussian noise of variance
-    ``var``, shape ``y.shape + (components,)``; returns them after
-    ``y[..., None]``, the means m_j and the marginal variances s_j^2 + var."""
-    yy = np.asarray(y, dtype=np.float64)[..., None]
-    m = np.asarray(prior.means)
-    v = np.asarray(prior.stds) ** 2 + var
-    logw = np.log(np.maximum(prior.weights, 1e-300))
-    logp = logw - 0.5 * (np.log(2.0 * np.pi * v) + (yy - m) ** 2 / v)
-    return yy, m, v, np.exp(logp - logsumexp(logp, axis=-1, keepdims=True))
+def gaussian_posterior(y, prior: GmmPrior, var: float, gain, offset):
+    """sum_j p(j | y) * (gain_j / v_j * (y - m_j) + offset_j) shaped like ``y``, v_j = s_j^2 + var.
+    Per block, one buffer row per component holds the logits c_j - (y - m_j)^2 / (2 v_j),
+    unexpanded to keep digits, shifted by their max and exponentiated in place."""
+    m, v = np.asarray(prior.means)[:, None], np.square(prior.stds)[:, None] + var
+    c = np.log(np.maximum(prior.weights, 1e-300))[:, None] - 0.5 * np.log(2.0 * np.pi * v)
+    slope, offset = np.reshape(gain, (-1, 1)) / v, np.reshape(offset, (-1, 1))
+    flat = np.asarray(y, dtype=np.float64).ravel()
+    out = np.empty_like(flat)
+    buf = np.empty((2, m.size, min(flat.size, QUAD_BLOCK)))
+    norm = np.empty(buf.shape[2])
+    for lo in range(0, flat.size, QUAD_BLOCK):
+        yb, res = flat[lo : lo + QUAD_BLOCK], out[lo : lo + QUAD_BLOCK]
+        dev, logit, z = buf[0, :, : yb.size], buf[1, :, : yb.size], norm[: yb.size]
+        np.subtract(yb, m, out=dev)
+        np.multiply(dev, dev, out=logit)
+        logit /= 2.0 * v
+        np.subtract(c, logit, out=logit)
+        logit -= logit.max(axis=0, out=z)
+        np.exp(logit, out=logit)
+        dev *= slope
+        dev += offset
+        dev *= logit
+        np.divide(dev.sum(axis=0, out=res), logit.sum(axis=0, out=z), out=res)
+    return out.reshape(np.shape(y))[()]
 
 
+@functools.lru_cache(maxsize=8)
 def _component_nodes(prior: GmmPrior, order: int):
-    """Gauss-Legendre nodes/log-weights covering every prior component."""
+    """Gauss-Legendre nodes/log-weights covering every prior component,
+    built once per (prior, order) and returned read-only."""
     t, w = leggauss(order)
     xs, logws = [], []
     for wt, m, sd in zip(prior.weights, prior.means, prior.stds):
@@ -97,7 +114,9 @@ def _component_nodes(prior: GmmPrior, order: int):
         logpdf = -0.5 * ((x - m) / sd) ** 2 - np.log(sd * np.sqrt(2.0 * np.pi))
         xs.append(x)
         logws.append(np.log(max(wt, 1e-300)) + logpdf + np.log(0.5 * (hi - lo) * w))
-    return np.concatenate(xs), np.concatenate(logws)
+    xs, logws = np.concatenate(xs), np.concatenate(logws)
+    xs.flags.writeable = logws.flags.writeable = False
+    return xs, logws
 
 
 def quadrature_posterior(y, prior: GmmPrior, model: NoiseModel, order: int):
@@ -136,6 +155,7 @@ def quadrature_posterior(y, prior: GmmPrior, model: NoiseModel, order: int):
 def _quad_score_once(y, prior, model, order):
     e_f, _ = quadrature_posterior(y, prior, model, order)
     if ModelKind(model.kind) is ModelKind.POISSON:
+        from scipy.special import digamma
         zeta = model.level
         return (e_f - digamma(y / zeta + 1.0)) / zeta
     k = model.level

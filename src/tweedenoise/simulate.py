@@ -208,6 +208,8 @@ def load_tensor(path) -> np.ndarray:
         raw = np.frombuffer(path.read_bytes(), dtype="<f4")
     except (OSError, ValueError, KeyError, TypeError) as exc:  # missing file, bad JSON, no 2-entry shape
         raise ValidationError(f"tensor {path} is missing or malformed: {exc}") from exc
+    if not all(type(n) is int and n >= 0 for n in (h, w)):  # bools, floats and negatives break reshape
+        raise ValidationError(f"tensor {path}: shape must be two non-negative integers, got {meta['shape']!r}")
     if meta.get("dtype") != "f32":
         raise DomainError(f"unsupported dtype {meta.get('dtype')!r}")
     if raw.size != h * w:

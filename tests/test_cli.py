@@ -3,6 +3,9 @@ import csv
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -152,6 +155,9 @@ def test_config_error_exit_codes(tmp_path):
         ("eval", lambda: (out / "clean_001.f32").unlink()),
         ("denoise", lambda: (out / "noisy_002.f32.json").write_text("{not json")),
         ("train", lambda: (out / "noisy_003.f32.json").write_text('{"dtype": "f32"}')),
+        # a shape whose product matches the payload but that is no pair of non-negative ints
+        ("estimate", lambda: (out / "noisy_001.f32.json").write_text('{"dtype": "f32", "shape": [64.0, 64.0]}')),
+        ("estimate", lambda: (out / "noisy_001.f32.json").write_text('{"dtype": "f32", "shape": [-64, -64]}')),
     ]
     for command, breakage in breakages:
         assert run("synth", str(tmp_path / "base.json")) == 0
@@ -179,6 +185,29 @@ def test_out_dir_naming_a_file_exits_2(tmp_path):
     taken = tmp_path / "taken"
     taken.write_text("")
     assert run("synth", write_config(tmp_path, base_config(taken))) == 2
+
+
+def test_cli_start_up_and_gaussian_estimate_load_no_scipy(tmp_path):
+    # scipy serves only the Poisson score and the brute-force oracle; a fresh
+    # interpreter shows what the CLI's own imports and a Gaussian run load
+    cfg_path = write_config(tmp_path, base_config(tmp_path / "o"))
+    script = (
+        "import sys\n"
+        "from tweedenoise import cli\n"
+        "def scipy_modules():\n"
+        "    return sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.'))\n"
+        "print(scipy_modules())\n"
+        f"assert cli.main(['synth', '--config', {cfg_path!r}]) == 0\n"
+        f"assert cli.main(['estimate', '--config', {cfg_path!r}]) == 0\n"
+        "print(scipy_modules())\n"
+    )
+    src = str(Path(cli.__file__).resolve().parents[1])
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, timeout=300,
+                          env={**os.environ, "PYTHONPATH": src})
+    assert done.returncode == 0, done.stderr
+    after_import, after_estimate = done.stdout.splitlines()
+    assert after_import == "[]"
+    assert after_estimate == "[]"
 
 
 # every key of base_config but out_dir, by its path; a mutation replaces or deletes one

@@ -5,6 +5,7 @@ import pytest
 from scipy.special import digamma, gammaln, logsumexp
 
 from tweedenoise import (
+    EPS_Y,
     DomainError,
     GmmPrior,
     ModelKind,
@@ -65,6 +66,54 @@ def test_gaussian_score_matches_finite_difference_of_marginal():
     h = 1e-5
     fd = (logmarg(y + h) - logmarg(y - h)) / (2 * h)
     assert np.max(np.abs(got - fd)) <= 1e-6
+
+
+PALETTE = GmmPrior((0.2, 0.8), (0.3, 0.9), (0.005, 0.005))
+BIMODAL = GmmPrior((0.5, 0.5), (0.3, 0.7), (0.08, 0.08))
+SIGMA = 25.0 / 255.0
+
+
+def gaussian_reference(y, prior, var):
+    """Pixels x components responsibilities normalised by logsumexp, as the
+    Gaussian oracles computed them before the blocked component-major
+    kernel: returns the score and E[x | y]."""
+    yy = np.asarray(y, dtype=np.float64)[..., None]
+    m, s2 = np.asarray(prior.means), np.asarray(prior.stds) ** 2
+    v = s2 + var
+    logp = np.log(prior.weights) - 0.5 * (np.log(2.0 * np.pi * v) + (yy - m) ** 2 / v)
+    resp = np.exp(logp - logsumexp(logp, axis=-1, keepdims=True))
+    return np.sum(resp * ((m - yy) / v), axis=-1), np.sum(resp * ((s2 * yy + var * m) / v), axis=-1)
+
+
+@pytest.mark.parametrize("prior", [PALETTE, BIMODAL], ids=["palette", "bimodal"])
+@pytest.mark.parametrize("shape", [(), (0,), (QUAD_BLOCK - 1,), (QUAD_BLOCK + 1,), (37, 61)], ids=str)
+def test_gaussian_kernel_matches_logsumexp_reference(prior, shape):
+    y = np.random.default_rng(5).uniform(EPS_Y, 1.2, size=shape)
+    ref_score, ref_mean = gaussian_reference(y, prior, SIGMA**2)
+    score = analytic_score_gaussian(y, prior, SIGMA).values
+    mean = posterior_mean_field(y, prior, NoiseModel(ModelKind.GAUSSIAN, SIGMA**2))
+    assert score.shape == np.shape(mean) == np.shape(y)
+    if score.size:
+        assert np.max(np.abs(score - ref_score)) <= 1e-12
+        assert np.max(np.abs(mean - ref_mean) / ref_mean) <= 1e-13
+
+
+def test_gaussian_score_is_a_pure_function_of_each_pixel():
+    y = np.random.default_rng(6).uniform(EPS_Y, 1.2, size=(67, 71))  # several blocks, ragged tail
+    whole = analytic_score_gaussian(y, PALETTE, SIGMA).values.ravel()
+    np.testing.assert_array_equal(analytic_score_gaussian(y.ravel()[7:], PALETTE, SIGMA).values, whole[7:])
+
+
+def test_gaussian_memory_is_bounded_by_the_block():
+    # the pixels x components temporaries of a 512^2 field took 36.8 MiB
+    y = np.random.default_rng(7).uniform(EPS_Y, 1.2, size=(512, 512))
+    tracemalloc.start()
+    try:
+        analytic_score_gaussian(y, PALETTE, SIGMA)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * 2**20
 
 
 def test_gaussian_oracle_rejects_bad_sigma():
@@ -169,6 +218,16 @@ def test_quadrature_kernel_matches_logsumexp_reference(model, shape):
     if score.size:
         assert np.max(np.abs(score - ref_score)) <= 1e-9
         assert np.max(np.abs(mean - ref_mean) / ref_mean) <= 1e-12
+
+
+def test_quadrature_nodes_are_built_once_and_read_only():
+    first = _component_nodes(P58, 96)
+    again = _component_nodes(GmmPrior(P58.weights, P58.means, P58.stds), 96)
+    assert all(a is b for a, b in zip(first, again))
+    for a in first:
+        assert not a.flags.writeable
+        with pytest.raises(ValueError):
+            a[0] = 0.0
 
 
 def test_quadrature_memory_is_bounded_by_the_block():
