@@ -56,9 +56,7 @@ from .scores import (
     numeric_marginal_score,
 )
 from .simulate import (
-    DEFAULT_RANGES,
     GmmPrior,
-    NoiseRange,
     SynthSpec,
     clamp_rate,
     gen_clean,
@@ -66,7 +64,6 @@ from .simulate import (
     psnr,
     rng_for,
     sample_noisy,
-    save_pgm,
     save_tensor,
 )
 from .tweedie import (

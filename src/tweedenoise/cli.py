@@ -12,10 +12,13 @@ unit-scale already.
 Exit codes: 0 success, 2 malformed config or manifest, 3 estimation failure
 (quadrature non-convergence included), 4 training divergence.
 
-Blind estimation runs through ``pipeline``, which probes image i with seed
-``seed + i``: one ``blind_estimate`` over all images when pooled, else one
-per image.  ``denoise``/``eval`` reuse its score at y1 (y itself) for the
-known-level column, so each image is scored twice.
+``estimate``, ``denoise`` and ``eval`` share one loop over
+``pipeline.blind_estimate``: one group of all images with seed ``seed`` when
+pooled, else one group per image with seed ``seed + index``.  ``estimate``
+writes every index estimate, ``unknown`` included, and exits 3 on any other
+failure of a group; ``denoise``/``eval`` record a group's failure in the
+``error`` column of its rows and exit 0.  They reuse the score at y1 (y
+itself) for the known-level column, so each image is scored twice.
 """
 
 from __future__ import annotations
@@ -41,6 +44,7 @@ from .errors import (
 from .estimate import EstimationReport
 from .pipeline import (
     DenoiseCfg,
+    DenoiseReport,
     blind_estimate,
     denoise_estimated,
     denoise_known,
@@ -144,8 +148,7 @@ def parse_config(path) -> dict:
 
     if "synth" in raw:
         synth = _section(raw["synth"], "synth", "prior")
-        prior = _section(synth["prior"], "synth.prior", "weights", "means", "stds")
-        cfg["prior"] = GmmPrior(tuple(prior["weights"]), tuple(prior["means"]), tuple(prior["stds"]))
+        cfg["prior"] = GmmPrior.from_dict(_section(synth["prior"], "synth.prior", "weights", "means", "stds"))
         cfg["synth"] = {
             "kind": synth.get("kind", "gmm_iid"),
             "height": synth.get("height", 64),
@@ -284,44 +287,54 @@ def cmd_train(cfg) -> int:
     return EXIT_OK
 
 
-def _estimate(backend, ys, dn):
-    """``blind_estimate`` over ``ys`` with an unknown classification reported,
-    not raised: (model estimate, level estimate or None, backend name, pixels)."""
-    pixels = sum(y.size for y in ys)
-    try:
-        me, le, _, f1 = blind_estimate(ys, backend, dn)
-        return me, le, f1[0].backend, pixels
-    except EstimationFailure as exc:
-        if exc.report is None:
-            raise
-        return exc.report.model_estimate, None, exc.report.backend, pixels
+def _blind_images(cfg, out: Path, images, backend):
+    """(manifest image, y, score at y1, DenoiseReport or EstimationFailure) per
+    image, in manifest order.
+
+    A pooled run estimates once over all images with seed ``seed``; a
+    per-image run estimates each image alone with seed ``seed + index``.  A
+    group's noisy tensors are loaded when the loop reaches it.
+    """
+    dn = DenoiseCfg(seed=cfg["seed"], **cfg["estimation"])
+    if cfg["pooled"]:
+        groups = [(dn, images)]
+    else:
+        groups = [(dataclasses.replace(dn, seed=dn.seed + im["index"]), [im]) for im in images]
+    for group_cfg, group in groups:
+        ys = [load_tensor(out / im["noisy"]) for im in group]
+        try:
+            me, le, pairs, f1 = blind_estimate(ys, backend, group_cfg)
+            del pairs  # frees y2 and u before the next group is scored
+            est = DenoiseReport(backend=f1[0].backend, model_estimate=me, level_estimate=le, y1_scores=f1)
+        except EstimationFailure as exc:  # its traceback would keep the group's arrays alive
+            est, f1 = exc.with_traceback(None), exc.report.y1_scores
+        for im, y, s1 in zip(group, ys, f1):
+            yield im, y, s1, est
+
+
+def _estimation_report(cfg, report: DenoiseReport) -> EstimationReport:
+    """A group's estimate as ``estimate_NNN.json`` and ``denoise_NNN.json`` record it."""
+    me, le = report.model_estimate, report.level_estimate
+    level = None if le is None else _natural_level(me.classified, le.value)
+    pixels = sum(s.values.size for s in report.y1_scores)
+    return EstimationReport(me.rho_hat, me.classified, level, me.mask_fraction, pixels, cfg["seed"], report.backend)
 
 
 def cmd_estimate(cfg) -> int:
     out = Path(cfg["out_dir"])
     manifest = _load_manifest(out)
-    images = manifest["images"]
-    backend = make_backend(cfg)
-    dn = DenoiseCfg(seed=cfg["seed"], **cfg["estimation"])
-    if cfg["pooled"]:
-        results = [_estimate(backend, [load_tensor(out / im["noisy"]) for im in images], dn)] * len(images)
-    else:
-        results = (
-            _estimate(backend, [load_tensor(out / im["noisy"])], dataclasses.replace(dn, seed=dn.seed + im["index"]))
-            for im in images
-        )
-
+    truth_kind, truth_level = manifest["model"], manifest["level"]
     rows = []
-    truth_kind = manifest["model"]
-    truth_level = manifest["level"]
-    for im, (me, le, backend_name, pixels) in zip(images, results):
-        level = None if le is None else _natural_level(me.classified, le.value)
-        report = EstimationReport(me.rho_hat, me.classified, level, me.mask_fraction, pixels, cfg["seed"], backend_name)
-        (out / f"estimate_{im['index']:03d}.json").write_text(report.to_json())
+    for im, _, _, est in _blind_images(cfg, out, manifest["images"], make_backend(cfg)):
+        report = est.report if isinstance(est, EstimationFailure) else est
+        if report.model_estimate is None:  # a failure other than unknown, e.g. an empty mask
+            raise est
+        rep = _estimation_report(cfg, report)
+        (out / f"estimate_{im['index']:03d}.json").write_text(rep.to_json())
         rows.append(
-            [im["index"], repr(me.rho_hat), me.classified,
-             "" if level is None else repr(level),
-             truth_kind, repr(truth_level), int(me.classified == truth_kind)]
+            [im["index"], repr(rep.rho_hat), rep.model,
+             "" if rep.level is None else repr(rep.level),
+             truth_kind, repr(truth_level), int(rep.model == truth_kind)]
         )
     with open(out / "estimates.csv", "w", newline="") as fh:
         wr = csv.writer(fh)
@@ -335,48 +348,25 @@ def cmd_estimate(cfg) -> int:
 def _denoise_batch(cfg, save_tensors: bool) -> int:
     out = Path(cfg["out_dir"])
     manifest = _load_manifest(out)
-    images = manifest["images"]
     _need_truth(cfg, "denoise/eval")
     truth = _true_model(cfg)
-    backend = make_backend(cfg)
-    dn = DenoiseCfg(seed=cfg["seed"], **cfg["estimation"])
-    if cfg["pooled"]:
-        ys = [load_tensor(out / im["noisy"]) for im in images]
-        me, le, pairs, f1 = blind_estimate(ys, backend, dn)
-
     rows = []
-    for i, im in enumerate(images):
+    for im, y, s1, est in _blind_images(cfg, out, manifest["images"], make_backend(cfg)):
         x = load_tensor(out / im["clean"])
-        y = ys[i] if cfg["pooled"] else load_tensor(out / im["noisy"])
         row = {"image": im["index"], "noisy": psnr(x, y)}
-        s1 = None  # the blind path's score at y1, which is the very array y
-        try:
-            if cfg["pooled"]:
-                pair, s1 = pairs[i], f1[i]
-            else:
-                me, le, (pair,), (s1,) = blind_estimate([y], backend, dataclasses.replace(dn, seed=dn.seed + im["index"]))
-            xb, report = denoise_estimated(pair.y1, s1, me, le)
+        if isinstance(est, EstimationFailure):
+            log.warning("image %s blind path failed: %s", im["index"], est)
+            row["blind"] = float("nan")
+            row["error"] = str(est)
+        else:
+            xb, _ = denoise_estimated(y, s1, est.model_estimate, est.level_estimate)
             row["blind"] = psnr(x, xb)
             row["error"] = ""
             if save_tensors:
                 save_tensor(out / f"denoised_{im['index']:03d}.f32", xb)
-                est = report.model_estimate
-                rep = {
-                    "rho_hat": est.rho_hat, "model": est.classified,
-                    "level": _natural_level(est.classified, report.level_estimate.value),
-                    "mask_fraction": est.mask_fraction, "backend": report.backend,
-                }
-                (out / f"denoise_{im['index']:03d}.json").write_text(json.dumps(rep, sort_keys=True))
-        except TweedenoiseError as exc:
-            log.warning("image %s blind path failed: %s", im["index"], exc)
-            row["blind"] = float("nan")
-            row["error"] = str(exc)
-            if getattr(exc, "report", None) is not None and exc.report.y1_scores:
-                s1 = exc.report.y1_scores[0]  # classified unknown
-        xk = denoise_known(y, truth, backend if s1 is None else lambda _: s1)
-        row["known"] = psnr(x, xk)
-        xo = posterior_mean_field(y, cfg["prior"], truth)
-        row["oracle"] = psnr(x, np.clip(xo, EPS_Y, 1.0))
+                (out / f"denoise_{im['index']:03d}.json").write_text(_estimation_report(cfg, est).to_json())
+        row["known"] = psnr(x, denoise_known(y, truth, lambda _: s1))
+        row["oracle"] = psnr(x, np.clip(posterior_mean_field(y, cfg["prior"], truth), EPS_Y, 1.0))
         rows.append(row)
 
     with open(out / "psnr.csv", "w", newline="") as fh:

@@ -1,7 +1,8 @@
 """Exception hierarchy.
 
 Every failure mode that callers are expected to branch on gets its own
-class; the CLI maps these onto process exit codes (see ``cli.EXIT_CODES``).
+class; the CLI maps these onto process exit codes (see the ``cli.EXIT_*``
+constants).
 """
 
 

@@ -13,7 +13,6 @@ serves as the ground truth that the Tweedie formulas are tested against.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -23,7 +22,6 @@ from .estimate import (
     DEFAULT_EPS,
     DEFAULT_MASK_EPS,
     DEFAULT_RHO_ASSUMED,
-    LEVEL_QUORUM,
     UNKNOWN,
     LevelEstimate,
     ModelEstimate,
@@ -43,7 +41,6 @@ class DenoiseCfg:
     mask_eps: float = DEFAULT_MASK_EPS
     rho_assumed: float = DEFAULT_RHO_ASSUMED
     seed: int = 0
-    quorum: int = LEVEL_QUORUM
 
     def validate(self) -> "DenoiseCfg":
         if self.eps <= 0 or not np.isfinite(self.eps):
@@ -59,12 +56,10 @@ class DenoiseReport:
     model_estimate: ModelEstimate | None = None
     level_estimate: LevelEstimate | None = None
     n_singular: int = 0
-    timings: dict = field(default_factory=dict)
-    y1_scores: list = field(default_factory=list)  # per image, on an unknown-classification report
+    y1_scores: list = field(default_factory=list)  # per image of the estimated group
 
     def to_dict(self) -> dict:
-        """JSON-ready dict; wall-clock timings deliberately excluded so that
-        serialized reports are byte-stable across reruns."""
+        """JSON-ready dict of the estimate and the formula's singular-pixel count."""
         me, le = self.model_estimate, self.level_estimate
         return {
             "backend": self.backend,
@@ -94,9 +89,9 @@ def blind_estimate(ys, score_backend, cfg: DenoiseCfg):
     Returns (model_estimate, level_estimate, pairs, s1_list).  Estimation
     statistics are pooled across all images in ``ys``; the per-image pairs
     and y1-scores are returned so callers can apply the formula without
-    re-evaluating the backend.  Raises :class:`EstimationFailure` (with a
-    partial report attached, ``y1_scores`` included) on unknown
-    classification.
+    re-evaluating the backend.  Raises :class:`EstimationFailure` on an
+    empty mask, an unknown classification or a failed level estimate; its
+    report carries the y1 scores, and the model estimate when it is unknown.
     """
     cfg.validate()
     pairs, f1, f2 = [], [], []
@@ -106,14 +101,16 @@ def blind_estimate(ys, score_backend, cfg: DenoiseCfg):
         f1.append(score_backend(pair.y1))
         f2.append(score_backend(pair.y2))
     pooled_pair, s1, s2 = _pool(pairs, f1, f2)
-    me = estimate_rho(pooled_pair, s1, s2, mask_eps=cfg.mask_eps, rho_assumed=cfg.rho_assumed)
-    if me.classified == UNKNOWN:
-        report = DenoiseReport(backend=s1.backend, model_estimate=me, y1_scores=f1)
-        raise EstimationFailure(
-            f"rho_hat={me.rho_hat:.3f} classified as unknown; no level estimator applies",
-            report=report,
-        )
-    le = estimate_level(me.classified, pooled_pair, s1, s2, quorum=cfg.quorum)
+    report = DenoiseReport(backend=s1.backend, y1_scores=f1)
+    try:
+        me = estimate_rho(pooled_pair, s1, s2, mask_eps=cfg.mask_eps, rho_assumed=cfg.rho_assumed)
+        if me.classified == UNKNOWN:
+            report.model_estimate = me
+            raise EstimationFailure(f"rho_hat={me.rho_hat:.3f} classified as unknown; no level estimator applies")
+        le = estimate_level(me.classified, pooled_pair, s1, s2)
+    except EstimationFailure as exc:
+        exc.report = report
+        raise
     return me, le, pairs, f1
 
 
@@ -129,12 +126,8 @@ def denoise_estimated(y1, s1: ScoreField, me: ModelEstimate, le: LevelEstimate):
 
 def denoise_blind(y, score_backend, cfg: DenoiseCfg = DenoiseCfg()):
     """Blind denoising of a single image; returns (xhat, DenoiseReport)."""
-    t0 = time.perf_counter()
     me, le, pairs, f1 = blind_estimate([y], score_backend, cfg)
-    t1 = time.perf_counter()
-    xhat, report = denoise_estimated(pairs[0].y1, f1[0], me, le)
-    report.timings = {"estimate_s": t1 - t0, "denoise_s": time.perf_counter() - t1}
-    return xhat, report
+    return denoise_estimated(pairs[0].y1, f1[0], me, le)
 
 
 def denoise_known(y, model: NoiseModel, score_backend):

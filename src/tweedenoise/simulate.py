@@ -97,31 +97,6 @@ class SynthSpec:
             raise DomainError("region count must be >= 1")
 
 
-# paper-scale level intervals per model, unit intensity scale
-DEFAULT_RANGES = {
-    ModelKind.GAUSSIAN: (5.0 / 255.0, 55.0 / 255.0),  # sigma
-    ModelKind.POISSON: (0.005, 0.1),  # zeta
-    ModelKind.GAMMA: (40.0, 120.0),  # k
-}
-
-
-@dataclass(frozen=True)
-class NoiseRange:
-    kind: ModelKind
-    lo: float
-    hi: float
-
-    def __post_init__(self):
-        if not (0 < self.lo <= self.hi):
-            raise DomainError(f"need 0 < lo <= hi, got [{self.lo}, {self.hi}]")
-
-    @classmethod
-    def default(cls, kind) -> "NoiseRange":
-        kind = ModelKind(kind)
-        lo, hi = DEFAULT_RANGES[kind]
-        return cls(kind, lo, hi)
-
-
 def gen_clean(spec: SynthSpec) -> np.ndarray:
     """Deterministic clean image for the given spec.
 
@@ -187,7 +162,7 @@ def psnr(a: np.ndarray, b: np.ndarray, peak: float = 1.0) -> float:
 
 
 # ---------------------------------------------------------------------------
-# tensor files: little-endian f32 payload + JSON sidecar, plus P5 export
+# tensor files: little-endian f32 payload + JSON sidecar
 
 
 def save_tensor(path, arr: np.ndarray) -> None:
@@ -215,11 +190,3 @@ def load_tensor(path) -> np.ndarray:
     if raw.size != h * w:
         raise DomainError(f"payload holds {raw.size} floats, sidecar says {h}x{w}")
     return raw.reshape(h, w).astype(np.float64)
-
-
-def save_pgm(path, arr: np.ndarray) -> None:
-    """8-bit P5 graymap export, for eyeballing only."""
-    arr = np.asarray(arr, dtype=np.float64)
-    b = np.clip(np.rint(arr * 255.0), 0, 255).astype(np.uint8)
-    header = f"P5\n{arr.shape[1]} {arr.shape[0]}\n255\n".encode("ascii")
-    Path(path).write_bytes(header + b.tobytes(order="C"))

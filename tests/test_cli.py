@@ -344,6 +344,9 @@ def test_denoise_psnr_table(synth_run):
         assert np.min(xb) >= np.float32(EPS_Y) and np.max(xb) <= 1.0
     rep = json.loads((out / "denoise_000.json").read_text())
     assert rep["model"] == "gaussian"
+    # both commands write the library's EstimationReport of the same estimate
+    assert run("estimate", cfg_path) == 0
+    assert (out / "denoise_000.json").read_bytes() == (out / "estimate_000.json").read_bytes()
 
 
 def test_denoise_rerun_is_byte_identical(synth_run):
@@ -361,12 +364,14 @@ def test_eval_writes_table_but_no_tensors(synth_run):
     assert not list(out.glob("denoised_*.f32"))
 
 
-def test_per_image_failures_are_recorded_not_fatal(synth_run):
+@pytest.mark.parametrize("pooled", [True, False])
+def test_per_image_failures_are_recorded_not_fatal(synth_run, pooled):
     out, _, tmp_path = synth_run
     cfg = base_config(out)
-    cfg["estimation"] = {"mask_eps": 1e-30, "pooled": False}
+    cfg["estimation"] = {"mask_eps": 1e-30, "pooled": pooled}
     assert run("eval", write_config(tmp_path, cfg, "peri.json")) == 0
     header, rows = read_csv(out / "psnr.csv")
+    assert len(rows) == 4
     assert all(r[0] != "mean" for r in rows)  # no survivors, no mean row
     for r in rows:
         assert "mask_eps" in r[5]
@@ -374,9 +379,18 @@ def test_per_image_failures_are_recorded_not_fatal(synth_run):
         assert float(r[3]) > 0  # known-level column still filled
 
 
-@pytest.mark.parametrize("pooled", [True, False])
-def test_eval_scores_each_image_twice(tmp_path, monkeypatch, pooled):
-    # at y1 and y2; the known-level column reuses the score at y1, which is y itself
+@pytest.mark.parametrize(
+    "pooled, failure",
+    [
+        pytest.param(True, None, id="True"),
+        pytest.param(False, "classified as unknown", id="False"),
+        pytest.param(True, "empty mask", id="empty-mask-pooled"),
+        pytest.param(False, "empty mask", id="empty-mask-per-image"),
+    ],
+)
+def test_eval_scores_each_image_twice(tmp_path, monkeypatch, pooled, failure):
+    # at y1 and y2; the known-level column reuses the score at y1, which is y itself,
+    # also for an image whose blind path failed
     calls = []
     real = cli.make_backend
 
@@ -387,24 +401,27 @@ def test_eval_scores_each_image_twice(tmp_path, monkeypatch, pooled):
     monkeypatch.setattr(cli, "make_backend", counting_backend)
     out = tmp_path / "run"
     cfg = base_config(out)
-    if not pooled:  # gamma data on which one image of three is classified unknown
-        cfg.update(seed=14, noise={"model": "gamma", "level": 50}, score_backend="oracle-quadrature",
-                   estimation={"pooled": False})
+    cfg["estimation"] = {"pooled": pooled}
+    if failure == "classified as unknown":  # gamma data on which one image of three is classified unknown
+        cfg.update(seed=14, noise={"model": "gamma", "level": 50}, score_backend="oracle-quadrature")
         cfg["synth"].update(height=32, width=32, regions=16, count=3)
+    elif failure == "empty mask":
+        cfg["estimation"]["mask_eps"] = 1e-30
     cfg_path = write_config(tmp_path, cfg)
     assert run("synth", cfg_path) == 0
     assert run("eval", cfg_path) == 0
     _, rows = read_csv(out / "psnr.csv")
     count = cfg["synth"]["count"]
     assert len(calls) == 2 * count
-    if not pooled:
-        unknown = [r for r in rows if "classified as unknown" in r[5]]
-        assert len(unknown) == 1
-        i = int(unknown[0][0])
+    failed = [r for r in rows if r[5]]
+    assert len(failed) == {None: 0, "classified as unknown": 1, "empty mask": count}[failure]
+    parsed = cli.parse_config(cfg_path)
+    for r in failed:
+        assert failure in r[5]
+        i = int(r[0])
         x, y = (load_tensor(out / f"{kind}_{i:03d}.f32") for kind in ("clean", "noisy"))
-        parsed = cli.parse_config(cfg_path)
         xk = denoise_known(y, cli._true_model(parsed), real(parsed))  # a fresh score at y
-        assert float(unknown[0][3]) == psnr(x, xk)
+        assert float(r[3]) == psnr(x, xk)
 
 
 # ---------------------------------------------------------------------------

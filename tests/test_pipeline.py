@@ -67,7 +67,7 @@ def test_blind_output_is_deterministic():
     a, ra = denoise_blind(y, backend, cfg)
     b, rb = denoise_blind(y, backend, cfg)
     np.testing.assert_array_equal(a, b)
-    assert ra.to_dict() == rb.to_dict()  # timings excluded on purpose
+    assert ra.to_dict() == rb.to_dict()
 
 
 def test_blind_equals_known_at_estimated_model():
@@ -87,6 +87,16 @@ def test_unknown_classification_aborts_with_report():
     assert rep.model_estimate.classified == "unknown"
     assert rep.model_estimate.rho_hat >= 2.9
     assert rep.level_estimate is None
+
+
+def test_empty_mask_failure_carries_the_y1_scores():
+    _, y, backend, _ = gaussian_scene()
+    with pytest.raises(EstimationFailure, match="empty mask") as exc:
+        blind_estimate([y, y], backend, DenoiseCfg(mask_eps=1e-30))
+    rep = exc.value.report
+    assert rep.model_estimate is None  # no index estimate to report
+    assert len(rep.y1_scores) == 2
+    np.testing.assert_array_equal(rep.y1_scores[1].values, backend(y).values)
 
 
 def test_pooled_estimation_across_images():

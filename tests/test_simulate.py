@@ -10,7 +10,6 @@ from tweedenoise import (
     GmmPrior,
     ModelKind,
     NoiseModel,
-    NoiseRange,
     SynthSpec,
     clamp_rate,
     gen_clean,
@@ -18,7 +17,6 @@ from tweedenoise import (
     psnr,
     rng_for,
     sample_noisy,
-    save_pgm,
     save_tensor,
 )
 
@@ -63,13 +61,6 @@ def test_synth_spec_validation():
         SynthSpec("gmm_iid", 4, 64, P2)
     with pytest.raises(DomainError):
         SynthSpec("piecewise_constant", 64, 64, P2, regions=0)
-
-
-def test_noise_range():
-    r = NoiseRange.default(ModelKind.POISSON)
-    assert r.lo == 0.005 and r.hi == 0.1
-    with pytest.raises(DomainError):
-        NoiseRange(ModelKind.GAUSSIAN, 0.2, 0.1)
 
 
 # ---------------------------------------------------------------------------
@@ -206,12 +197,3 @@ def test_tensor_io_errors(tmp_path):
     (tmp_path / "bad.f32.json").write_text(json.dumps(meta))
     with pytest.raises(DomainError):
         load_tensor(p)
-
-
-def test_pgm_export(tmp_path):
-    arr = np.array([[0.0, 0.5], [1.0, 2.0]])  # 2.0 saturates at 255
-    p = tmp_path / "img.pgm"
-    save_pgm(p, arr)
-    raw = p.read_bytes()
-    assert raw.startswith(b"P5\n2 2\n255\n")
-    assert list(raw[-4:]) == [0, 128, 255, 255]
