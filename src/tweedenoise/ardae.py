@@ -42,6 +42,7 @@ ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
 
 CHECKPOINT_VERSION = 1
+PATCH_BLOCK = 1024  # pixels per block of eval_score; 7 % faster than 2048 at 128² on a 2 MiB-L2 Xeon
 
 
 @dataclass
@@ -110,42 +111,69 @@ def init_mlp(layer_sizes, seed: int) -> MlpParams:
     return MlpParams(ws, bs, [w.copy() for w in ws], [b.copy() for b in bs])
 
 
-def mlp_forward(params: MlpParams, x: np.ndarray, use_ema: bool = False):
-    """Forward pass; returns (output (N,), activations cache for backprop)."""
+def mlp_forward(params: MlpParams, x: np.ndarray, use_ema: bool = False, acts=None):
+    """Forward pass; returns (output (N,), activations cache for backprop).
+    It fills ``acts``, one (N, width) buffer per layer from input to output,
+    if given; ``x`` may be ``acts[0]``."""
     ws = params.ema_weights if use_ema else params.weights
     bs = params.ema_biases if use_ema else params.biases
-    h = (np.asarray(x, dtype=np.float64) - IN_SHIFT) * IN_GAIN
-    acts = [h]
-    for W, b in zip(ws[:-1], bs[:-1]):
-        h = np.tanh(h @ W + b)
-        acts.append(h)
-    out = h @ ws[-1] + bs[-1]
-    return out[:, 0], acts
+    x = np.asarray(x, dtype=np.float64)
+    if acts is None:
+        acts = [np.empty((x.shape[0], n)) for n in params.layer_sizes]
+    h = np.subtract(x, IN_SHIFT, out=acts[0])
+    h *= IN_GAIN
+    for W, b, a in zip(ws[:-1], bs[:-1], acts[1:-1]):
+        np.matmul(h, W, out=a)
+        a += b
+        h = np.tanh(a, out=a)
+    out = np.matmul(h, ws[-1], out=acts[-1])
+    out += bs[-1]
+    return out[:, 0], acts[:-1]
 
 
-def mlp_backward(params: MlpParams, acts, dout: np.ndarray):
-    """Gradients of sum(dout * output) w.r.t. weights and biases."""
+def mlp_backward(params: MlpParams, acts, dout: np.ndarray, work=None):
+    """Gradients of sum(dout * output) w.r.t. weights and biases.  It fills
+    ``work``, a (delta, tanh') pair of buffers per hidden layer, if given."""
     ws = params.weights
+    if work is None:
+        work = [(np.empty_like(a), np.empty_like(a)) for a in acts[1:]]
     gws = [None] * len(ws)
     gbs = [None] * len(ws)
     delta = dout[:, None]  # (N, 1)
     gws[-1] = acts[-1].T @ delta
     gbs[-1] = delta.sum(axis=0)
     for i in range(len(ws) - 2, -1, -1):
-        delta = (delta @ ws[i + 1].T) * (1.0 - acts[i + 1] ** 2)
+        nxt, deriv = work[i]
+        np.multiply(acts[i + 1], acts[i + 1], out=deriv)
+        np.subtract(1.0, deriv, out=deriv)
+        delta = np.matmul(delta, ws[i + 1].T, out=nxt)
+        delta *= deriv
         gws[i] = acts[i].T @ delta
         gbs[i] = delta.sum(axis=0)
     return gws, gbs
 
 
+def _workspace(layer_sizes, n: int):
+    """Buffers for one n-row training step: the gathered batch; its probe
+    noise; each layer's activations, input and output included; and a
+    (delta, tanh-derivative) pair per hidden layer."""
+    return (
+        np.empty((n, layer_sizes[0])),
+        np.empty((n, layer_sizes[0])),
+        [np.empty((n, s)) for s in layer_sizes],
+        [(np.empty((n, s)), np.empty((n, s))) for s in layer_sizes[1:-1]],
+    )
+
+
 def ardae_loss_and_grad(params: MlpParams, batch: np.ndarray, sigma_a: float, seed: int,
-                        _forward=None):
+                        _forward=None, work=None):
     """Loss mean (u_c + sigma_a R(y + sigma_a u))^2 over the batch and its
     exact parameter gradients.
 
     ``batch`` is (N, D) with the center pixel at column D // 2; u is drawn
     per element from the given seed.  ``_forward`` is a test hook replacing
-    the network evaluation.
+    the network evaluation.  ``work`` holds buffers to fill, as
+    ``_workspace`` makes them less the batch.
     """
     if sigma_a <= 0:
         raise DomainError(f"sigma_a must be positive, got {sigma_a}")
@@ -154,14 +182,16 @@ def ardae_loss_and_grad(params: MlpParams, batch: np.ndarray, sigma_a: float, se
         raise DomainError("batch must be a nonempty (N, D) array")
     n, d = batch.shape
     rng = np.random.default_rng(np.random.SeedSequence([int(seed), 11]))
-    u = rng.standard_normal((n, d))
+    u, acts, back = (np.empty((n, d)), None, None) if work is None else work
+    rng.standard_normal(out=u)
     u_c = u[:, d // 2]
-    noisy = batch + sigma_a * u
+    noisy = np.multiply(u, sigma_a, out=None if acts is None else acts[0])
+    noisy += batch
     if _forward is not None:
         r = np.asarray(_forward(noisy), dtype=np.float64)
         acts = None
     else:
-        r, acts = mlp_forward(params, noisy)
+        r, acts = mlp_forward(params, noisy, acts=acts)
     resid = u_c + sigma_a * r
     loss = float(np.mean(resid**2))
     if not np.isfinite(loss):
@@ -169,24 +199,40 @@ def ardae_loss_and_grad(params: MlpParams, batch: np.ndarray, sigma_a: float, se
     if acts is None:
         return loss, None
     dout = 2.0 * sigma_a * resid / n
-    gws, gbs = mlp_backward(params, acts, dout)
+    gws, gbs = mlp_backward(params, acts, dout, back)
     return loss, (gws, gbs)
 
 
-def extract_patches(img: np.ndarray, radius: int) -> np.ndarray:
-    """(H*W, (2r+1)^2) rows of reflect-padded context patches."""
+def _as_image(img, radius: int) -> np.ndarray:
+    """``img`` as a 2-D float64 array (1-D data as one row), shape-checked."""
     img = np.asarray(img, dtype=np.float64)
     if img.ndim == 1:
         if radius != 0:
             raise DomainError("1-D data only supports patch_radius = 0")
-        return img[:, None]
+        return img[None, :]
     if img.ndim != 2:
         raise DomainError(f"expected 1-D or 2-D data, got shape {img.shape}")
-    if radius == 0:
-        return img.reshape(-1, 1)
-    p = np.pad(img, radius, mode="reflect")
-    win = np.lib.stride_tricks.sliding_window_view(p, (2 * radius + 1, 2 * radius + 1))
-    return win.reshape(img.shape[0] * img.shape[1], -1)
+    return img
+
+
+def extract_patches(img: np.ndarray, radius: int, index=None, out=None) -> np.ndarray:
+    """(H*W, (2r+1)^2) rows of reflect-padded context patches.
+
+    With ``index``, the rows of those flat pixel positions only, in that
+    order, written into ``out`` if given.  Only the row and column indices
+    are padded: no padded copy of ``img`` is made.
+    """
+    img = _as_image(img, radius)
+    h, w = img.shape
+    index = np.arange(h * w) if index is None else np.asarray(index)
+    if index.size and not (0 <= index.min() and index.max() < h * w):
+        raise DomainError(f"pixel index out of range for a {h}x{w} image")
+    i, j = np.divmod(index, w)
+    k = np.arange(2 * radius + 1)
+    rows = np.pad(np.arange(h) * w, radius, mode="reflect")[i[:, None] + k]
+    cols = np.pad(np.arange(w), radius, mode="reflect")[j[:, None] + k]
+    flat = (rows[:, :, None] + cols[:, None, :]).reshape(i.size, k.size**2)
+    return np.take(img.ravel(), flat, out=out, mode="clip")  # in range; "clip" fills out unbuffered
 
 
 def _adam_step(params, grads, state, lr, t):
@@ -223,12 +269,17 @@ def train_ardae(config: ArdaeConfig, data) -> tuple:
     history is one (epoch, mean_loss, lr) triple per epoch.  A non-finite
     loss aborts with :class:`TrainingDivergence` carrying the last
     finite-loss snapshot.
+
+    Each batch gathers its patches from the images, numbered image after
+    image in raster order, into buffers that every full batch reuses.
     """
     config.validate()
     arrays = [data] if isinstance(data, np.ndarray) else list(data)
     if not arrays:
         raise DomainError("no training data")
-    X = np.concatenate([extract_patches(a, config.patch_radius) for a in arrays], axis=0)
+    arrays = [np.ascontiguousarray(_as_image(a, config.patch_radius)) for a in arrays]
+    starts = np.cumsum([0] + [a.size for a in arrays])
+    n_rows = int(starts[-1])
     params = init_mlp(config.layer_sizes, config.seed)
     history = []
     if config.epochs == 0:
@@ -241,20 +292,26 @@ def train_ardae(config: ArdaeConfig, data) -> tuple:
         "w": [(np.zeros_like(w), np.zeros_like(w)) for w in params.weights],
         "b": [(np.zeros_like(b), np.zeros_like(b)) for b in params.biases],
     }
+    full = _workspace(config.layer_sizes, min(config.batch_size, n_rows))
     m = config.ema_decay
     t = 0
     for epoch in range(config.epochs):
         lr = config.lr / 10.0 if epoch >= decay_at else config.lr
-        perm = rng.permutation(X.shape[0])
+        perm = rng.permutation(n_rows)
         losses = []
-        for lo in range(0, X.shape[0], config.batch_size):
+        for lo in range(0, n_rows, config.batch_size):
             idx = perm[lo : lo + config.batch_size]
             if idx.size < 2:
                 continue
             sigma_a = schedule[rng.integers(0, config.schedule_len)]
             step_seed = int(rng.integers(0, 2**63 - 1))
+            batch, *work = full if idx.size == len(full[0]) else _workspace(config.layer_sizes, idx.size)
+            owner = np.searchsorted(starts, idx, side="right") - 1
+            for k in np.unique(owner):
+                rows = owner == k
+                batch[rows] = extract_patches(arrays[k], config.patch_radius, idx[rows] - starts[k])
             try:
-                loss, grads = ardae_loss_and_grad(params, X[idx], sigma_a, step_seed)
+                loss, grads = ardae_loss_and_grad(params, batch, sigma_a, step_seed, work=work)
             except TrainingDivergence as exc:
                 # a failed loss evaluation leaves params at the last good step
                 raise TrainingDivergence(
@@ -271,17 +328,25 @@ def train_ardae(config: ArdaeConfig, data) -> tuple:
 def eval_score(params: MlpParams, y: np.ndarray, use_ema: bool = True) -> ScoreField:
     """Score field over an image: the network applied per context patch.
 
-    Border pixels see reflect padding.  Pure; repeated calls are
-    bit-identical.
+    Border pixels see reflect padding.  The pixels go through the network in
+    blocks of PATCH_BLOCK rows, the last one filled up with copies of the
+    last pixel, so that every block makes the same BLAS calls and each
+    pixel's score is a pure function of its own patch.  Pure; repeated calls
+    are bit-identical.
     """
     y = np.asarray(y, dtype=np.float64)
     dim = params.layer_sizes[0]
     radius = (int(np.sqrt(dim)) - 1) // 2
     if (2 * radius + 1) ** 2 != dim:
         raise DomainError(f"non-square input layer of width {dim}")
-    patches = extract_patches(y, radius)
-    out, _ = mlp_forward(params, patches, use_ema=use_ema)
-    return ScoreField(out.reshape(y.shape), backend="ardae")
+    img = np.ascontiguousarray(_as_image(y, radius))
+    scores = np.empty(y.size)
+    acts = [np.empty((PATCH_BLOCK, n)) for n in params.layer_sizes]
+    for lo in range(0, y.size, PATCH_BLOCK):
+        patches = extract_patches(img, radius, np.minimum(np.arange(lo, lo + PATCH_BLOCK), y.size - 1), acts[0])
+        out, _ = mlp_forward(params, patches, use_ema, acts)
+        scores[lo : lo + PATCH_BLOCK] = out[: y.size - lo]
+    return ScoreField(scores.reshape(y.shape), backend="ardae")
 
 
 def save_checkpoint(path, params: MlpParams, config: ArdaeConfig) -> None:

@@ -288,12 +288,14 @@ def cmd_train(cfg) -> int:
 
 
 def _blind_images(cfg, out: Path, images, backend):
-    """(manifest image, y, score at y1, DenoiseReport or EstimationFailure) per
-    image, in manifest order.
+    """(manifest image, y, score at y1, DenoiseReport or EstimationFailure,
+    probe seed) per image, in manifest order.
 
     A pooled run estimates once over all images with seed ``seed``; a
     per-image run estimates each image alone with seed ``seed + index``.  A
-    group's noisy tensors are loaded when the loop reaches it.
+    group's noisy tensors are loaded when the loop reaches it, and the loop
+    drops them and their scores before it scores the next group; callers
+    drop what they were handed too.
     """
     dn = DenoiseCfg(seed=cfg["seed"], **cfg["estimation"])
     if cfg["pooled"]:
@@ -309,15 +311,17 @@ def _blind_images(cfg, out: Path, images, backend):
         except EstimationFailure as exc:  # its traceback would keep the group's arrays alive
             est, f1 = exc.with_traceback(None), exc.report.y1_scores
         for im, y, s1 in zip(group, ys, f1):
-            yield im, y, s1, est
+            yield im, y, s1, est, group_cfg.seed
+        del ys, f1, est, y, s1
 
 
-def _estimation_report(cfg, report: DenoiseReport) -> EstimationReport:
-    """A group's estimate as ``estimate_NNN.json`` and ``denoise_NNN.json`` record it."""
+def _estimation_report(seed: int, report: DenoiseReport) -> EstimationReport:
+    """A group's estimate, probed with ``seed``, as ``estimate_NNN.json`` and
+    ``denoise_NNN.json`` record it."""
     me, le = report.model_estimate, report.level_estimate
     level = None if le is None else _natural_level(me.classified, le.value)
     pixels = sum(s.values.size for s in report.y1_scores)
-    return EstimationReport(me.rho_hat, me.classified, level, me.mask_fraction, pixels, cfg["seed"], report.backend)
+    return EstimationReport(me.rho_hat, me.classified, level, me.mask_fraction, pixels, seed, report.backend)
 
 
 def cmd_estimate(cfg) -> int:
@@ -325,17 +329,18 @@ def cmd_estimate(cfg) -> int:
     manifest = _load_manifest(out)
     truth_kind, truth_level = manifest["model"], manifest["level"]
     rows = []
-    for im, _, _, est in _blind_images(cfg, out, manifest["images"], make_backend(cfg)):
+    for im, _, _, est, seed in _blind_images(cfg, out, manifest["images"], make_backend(cfg)):
         report = est.report if isinstance(est, EstimationFailure) else est
         if report.model_estimate is None:  # a failure other than unknown, e.g. an empty mask
             raise est
-        rep = _estimation_report(cfg, report)
+        rep = _estimation_report(seed, report)
         (out / f"estimate_{im['index']:03d}.json").write_text(rep.to_json())
         rows.append(
             [im["index"], repr(rep.rho_hat), rep.model,
              "" if rep.level is None else repr(rep.level),
              truth_kind, repr(truth_level), int(rep.model == truth_kind)]
         )
+        del _, est, report  # the group's scores, freed before the next group is scored
     with open(out / "estimates.csv", "w", newline="") as fh:
         wr = csv.writer(fh)
         wr.writerow(["image", "rho_hat", "model", "level", "truth_model", "truth_level", "correct"])
@@ -351,7 +356,7 @@ def _denoise_batch(cfg, save_tensors: bool) -> int:
     _need_truth(cfg, "denoise/eval")
     truth = _true_model(cfg)
     rows = []
-    for im, y, s1, est in _blind_images(cfg, out, manifest["images"], make_backend(cfg)):
+    for im, y, s1, est, seed in _blind_images(cfg, out, manifest["images"], make_backend(cfg)):
         x = load_tensor(out / im["clean"])
         row = {"image": im["index"], "noisy": psnr(x, y)}
         if isinstance(est, EstimationFailure):
@@ -364,10 +369,11 @@ def _denoise_batch(cfg, save_tensors: bool) -> int:
             row["error"] = ""
             if save_tensors:
                 save_tensor(out / f"denoised_{im['index']:03d}.f32", xb)
-                (out / f"denoise_{im['index']:03d}.json").write_text(_estimation_report(cfg, est).to_json())
+                (out / f"denoise_{im['index']:03d}.json").write_text(_estimation_report(seed, est).to_json())
         row["known"] = psnr(x, denoise_known(y, truth, lambda _: s1))
         row["oracle"] = psnr(x, np.clip(posterior_mean_field(y, cfg["prior"], truth), EPS_Y, 1.0))
         rows.append(row)
+        del s1, est  # the group's scores, freed before the next group is scored
 
     with open(out / "psnr.csv", "w", newline="") as fh:
         wr = csv.writer(fh)

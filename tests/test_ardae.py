@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from tweedenoise import (
     ema_update,
     eval_score,
     extract_patches,
+    geometric_schedule,
     gradient_check,
     init_mlp,
     load_checkpoint,
@@ -18,6 +20,7 @@ from tweedenoise import (
     save_checkpoint,
     train_ardae,
 )
+from tweedenoise.ardae import PATCH_BLOCK, _adam_step
 
 TINY = ArdaeConfig(
     sigma_a_max=0.05, sigma_a_min=0.01, schedule_len=4, epochs=4,
@@ -147,14 +150,97 @@ def test_extract_patches_1d_and_errors():
     out = extract_patches(v, 0)
     assert out.shape == (7, 1)
     np.testing.assert_array_equal(out[:, 0], v)
+    assert extract_patches(v[:0], 0).shape == (0, 1)
     with pytest.raises(DomainError):
         extract_patches(v, 1)
     with pytest.raises(DomainError):
         extract_patches(np.zeros((2, 2, 2)), 0)
+    for index in ([-1], [7]):
+        with pytest.raises(DomainError):
+            extract_patches(v, 0, index)
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (1, 7), (2, 3), (3, 4), (5, 2), (9, 13)], ids=str)
+@pytest.mark.parametrize("radius", [0, 1, 2, 4])
+def test_extract_patches_matches_np_pad_reference(shape, radius):
+    # radii past the image edge reflect more than once, as np.pad does
+    img = np.random.default_rng(10).uniform(0.1, 1.0, shape)
+    win = np.lib.stride_tricks.sliding_window_view(np.pad(img, radius, mode="reflect"), (2 * radius + 1,) * 2)
+    ref = win.reshape(img.size, -1)
+    np.testing.assert_array_equal(extract_patches(img, radius), ref)
+    index = np.random.default_rng(11).integers(0, img.size, 2 * img.size)
+    out = np.empty((index.size, ref.shape[1]))
+    assert extract_patches(img, radius, index, out=out) is out
+    np.testing.assert_array_equal(out, ref[index])
 
 
 # ---------------------------------------------------------------------------
 # training loop
+
+def train_reference(config, data):
+    """train_ardae as it was before batches were gathered from the images:
+    one concatenated patch matrix, indexed per batch, and new arrays in
+    every step."""
+    arrays = [data] if isinstance(data, np.ndarray) else list(data)
+    X = np.concatenate([extract_patches(a, config.patch_radius) for a in arrays], axis=0)
+    params = init_mlp(config.layer_sizes, config.seed)
+    schedule = geometric_schedule(config.sigma_a_max, config.sigma_a_min, config.schedule_len)
+    rng = np.random.default_rng(np.random.SeedSequence([config.seed, 12]))
+    state = {
+        "w": [(np.zeros_like(w), np.zeros_like(w)) for w in params.weights],
+        "b": [(np.zeros_like(b), np.zeros_like(b)) for b in params.biases],
+    }
+    history, t = [], 0
+    for epoch in range(config.epochs):
+        lr = config.lr / 10.0 if epoch >= config.epochs // 2 else config.lr
+        perm = rng.permutation(X.shape[0])
+        losses = []
+        for lo in range(0, X.shape[0], config.batch_size):
+            idx = perm[lo : lo + config.batch_size]
+            if idx.size < 2:
+                continue
+            sigma_a = schedule[rng.integers(0, config.schedule_len)]
+            loss, grads = ardae_loss_and_grad(params, X[idx], sigma_a, int(rng.integers(0, 2**63 - 1)))
+            t += 1
+            _adam_step(params, grads, state, lr, t)
+            ema_update(params, config.ema_decay)
+            losses.append(loss)
+        history.append((epoch, float(np.mean(losses)), lr))
+    return params, history
+
+
+@pytest.mark.parametrize(
+    "shapes, radius, batch_size",
+    [
+        ([(33, 40), (20, 57), (33, 40)], 2, 300),  # two image sizes; batches span images; ragged last batch
+        ([(1000,)], 0, 256),
+        ([(100,)], 0, 128),  # one batch, smaller than batch_size
+    ],
+    ids=["2d-two-sizes", "1d", "1d-one-batch"],
+)
+def test_training_is_bitwise_the_concatenated_reference(shapes, radius, batch_size):
+    rng = np.random.default_rng(12)
+    data = [rng.uniform(0.1, 1.0, shape) for shape in shapes]
+    cfg = ArdaeConfig(**{**vars(TINY), "patch_radius": radius, "batch_size": batch_size, "hidden": (16, 16)})
+    p, hist = train_ardae(cfg, data)
+    q, ref_hist = train_reference(cfg, data)
+    assert hist == ref_hist
+    for a, b in zip(p.weights + p.biases + p.ema_weights + p.ema_biases,
+                    q.weights + q.biases + q.ema_weights + q.ema_biases):
+        np.testing.assert_array_equal(a, b)
+
+
+def test_training_memory_is_bounded_by_the_batch():
+    # the concatenated patch matrix of these images alone took 162 MiB
+    data = [np.random.default_rng(13 + i).uniform(0.1, 1.0, (256, 256)) for i in range(4)]
+    tracemalloc.start()
+    try:
+        train_ardae(ArdaeConfig(epochs=1), data)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 64 * 2**20, peak / 2**20
+
 
 def test_training_is_deterministic():
     rng = np.random.default_rng(5)
@@ -222,6 +308,50 @@ def test_eval_score_is_pure_and_uses_ema():
     assert not np.array_equal(a, b)
     out, _ = mlp_forward(p, extract_patches(y, 1), use_ema=False)
     np.testing.assert_array_equal(b, out.reshape(y.shape))
+
+
+def full_size_net(radius, seed):
+    p = init_mlp([(2 * radius + 1) ** 2, 128, 128, 1], seed)
+    p.ema_weights[0][:] += 0.01  # inference reads the shadow copy
+    return p
+
+
+@pytest.mark.parametrize(
+    "radius, shape", [(4, (128, 128)), (4, (512, 512)), (0, (3 * PATCH_BLOCK,))], ids=["128^2", "512^2", "1d"]
+)
+def test_eval_score_is_bitwise_the_whole_matrix_forward(radius, shape):
+    # the whole-matrix reference is a single BLAS call per layer; its row count is a whole number of blocks
+    y = np.random.default_rng(14).uniform(0.1, 1.0, shape)
+    p = full_size_net(radius, 15)
+    out, _ = mlp_forward(p, extract_patches(y, radius), use_ema=True)
+    np.testing.assert_array_equal(eval_score(p, y).values, out.reshape(shape))
+
+
+@pytest.mark.parametrize("radius", [0, 4])
+def test_eval_score_is_a_pure_function_of_each_patch(radius):
+    # a crop moves every pixel to another place in its blocks; pixels at least
+    # radius from the crop's edge keep their patch and so their score
+    y = np.random.default_rng(16).uniform(0.1, 1.0, (67, 71))  # several blocks, ragged tail
+    p = full_size_net(radius, 17)
+    whole = eval_score(p, y).values
+    for rows, cols in ((slice(3, 60), slice(5, 70)), (slice(4, 5), slice(4, 66)), (slice(20, 21), slice(30, 31))):
+        crop = eval_score(p, y[rows, cols]).values
+        h, w = crop.shape
+        inner = (slice(radius, h - radius), slice(radius, w - radius))
+        np.testing.assert_array_equal(crop[inner], whole[rows, cols][inner])
+
+
+def test_eval_memory_is_bounded_by_the_block():
+    # the whole patch matrix and its activations at 512^2 took 1,092 MiB
+    y = np.random.default_rng(18).uniform(0.1, 1.0, (512, 512))
+    p = full_size_net(4, 19)
+    tracemalloc.start()
+    try:
+        eval_score(p, y)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 64 * 2**20, peak / 2**20
 
 
 def test_eval_score_rejects_nonsquare_input_layer():

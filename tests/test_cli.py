@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -313,6 +314,49 @@ def test_cli_rows_equal_the_library(tmp_path, pooled):
         assert row[2] == report.model_estimate.classified
         assert float(row[3]) == math.sqrt(report.level_estimate.value)
         np.testing.assert_array_equal(load_tensor(out / f"denoised_{i:03d}.f32"), xhat.astype(np.float32))
+
+
+def test_per_image_reports_record_the_probe_seed(tmp_path):
+    out = tmp_path / "run"
+    cfg = base_config(out)
+    cfg["estimation"] = {"pooled": False}
+    cfg_path = write_config(tmp_path, cfg)
+    for command in ("synth", "estimate", "denoise"):
+        assert run(command, cfg_path) == 0
+    for i in range(4):
+        for kind in ("estimate", "denoise"):
+            assert json.loads((out / f"{kind}_{i:03d}.json").read_text())["seed"] == 11 + i
+
+
+@pytest.mark.parametrize(
+    "command, mask_eps", [("estimate", None), ("eval", None), ("eval", 1e-30)], ids=["estimate", "eval", "eval-empty-mask"]
+)
+def test_a_finished_group_is_freed_before_the_next_is_scored(tmp_path, monkeypatch, command, mask_eps):
+    # per-image groups score y1 and y2: calls 2k and 2k + 1 belong to image k
+    fields = []
+    real = cli.make_backend
+
+    def tracking_backend(cfg):
+        backend = real(cfg)
+
+        def score(y):
+            if len(fields) % 2 == 0:
+                alive = [i for i, ref in enumerate(fields) if ref() is not None]
+                assert not alive, f"scores {alive} outlive their group at call {len(fields)}"
+            field = backend(y)
+            fields.append(weakref.ref(field))
+            return field
+
+        return score
+
+    monkeypatch.setattr(cli, "make_backend", tracking_backend)
+    out = tmp_path / "run"
+    cfg = base_config(out)
+    cfg["estimation"] = {"pooled": False} if mask_eps is None else {"pooled": False, "mask_eps": mask_eps}
+    cfg_path = write_config(tmp_path, cfg)
+    assert run("synth", cfg_path) == 0
+    assert run(command, cfg_path) == 0
+    assert len(fields) == 2 * cfg["synth"]["count"]
 
 
 def test_estimate_failure_exit_code(synth_run):
