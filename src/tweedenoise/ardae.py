@@ -219,20 +219,30 @@ def extract_patches(img: np.ndarray, radius: int, index=None, out=None) -> np.nd
     """(H*W, (2r+1)^2) rows of reflect-padded context patches.
 
     With ``index``, the rows of those flat pixel positions only, in that
-    order, written into ``out`` if given.  Only the row and column indices
-    are padded: no padded copy of ``img`` is made.
+    order, written into ``out`` if given.
     """
-    img = _as_image(img, radius)
-    h, w = img.shape
+    return _gather_patches(_patch_windows(img, radius), index, out)
+
+
+def _patch_windows(img, radius: int) -> np.ndarray:
+    """(H, W, 2r+1, 2r+1) view of every context patch of the reflect-padded image."""
+    img, size = _as_image(img, radius), (2 * radius + 1,) * 2
+    if not img.size:  # no window fits into an empty image
+        return np.empty(img.shape + size)
+    return np.lib.stride_tricks.sliding_window_view(np.pad(img, radius, mode="reflect"), size)
+
+
+def _gather_patches(windows: np.ndarray, index=None, out=None) -> np.ndarray:
+    """The rows of ``extract_patches`` from the windows of ``_patch_windows``."""
+    h, w, p, _ = windows.shape
     index = np.arange(h * w) if index is None else np.asarray(index)
     if index.size and not (0 <= index.min() and index.max() < h * w):
         raise DomainError(f"pixel index out of range for a {h}x{w} image")
-    i, j = np.divmod(index, w)
-    k = np.arange(2 * radius + 1)
-    rows = np.pad(np.arange(h) * w, radius, mode="reflect")[i[:, None] + k]
-    cols = np.pad(np.arange(w), radius, mode="reflect")[j[:, None] + k]
-    flat = (rows[:, :, None] + cols[:, None, :]).reshape(i.size, k.size**2)
-    return np.take(img.ravel(), flat, out=out, mode="clip")  # in range; "clip" fills out unbuffered
+    rows = windows[np.divmod(index, w)].reshape(index.size, p * p)
+    if out is None:
+        return rows
+    out[...] = rows
+    return out
 
 
 def _adam_step(params, grads, state, lr, t):
@@ -277,7 +287,7 @@ def train_ardae(config: ArdaeConfig, data) -> tuple:
     arrays = [data] if isinstance(data, np.ndarray) else list(data)
     if not arrays:
         raise DomainError("no training data")
-    arrays = [np.ascontiguousarray(_as_image(a, config.patch_radius)) for a in arrays]
+    arrays = [_as_image(a, config.patch_radius) for a in arrays]
     starts = np.cumsum([0] + [a.size for a in arrays])
     n_rows = int(starts[-1])
     params = init_mlp(config.layer_sizes, config.seed)
@@ -339,11 +349,11 @@ def eval_score(params: MlpParams, y: np.ndarray, use_ema: bool = True) -> ScoreF
     radius = (int(np.sqrt(dim)) - 1) // 2
     if (2 * radius + 1) ** 2 != dim:
         raise DomainError(f"non-square input layer of width {dim}")
-    img = np.ascontiguousarray(_as_image(y, radius))
+    windows = _patch_windows(y, radius)
     scores = np.empty(y.size)
     acts = [np.empty((PATCH_BLOCK, n)) for n in params.layer_sizes]
     for lo in range(0, y.size, PATCH_BLOCK):
-        patches = extract_patches(img, radius, np.minimum(np.arange(lo, lo + PATCH_BLOCK), y.size - 1), acts[0])
+        patches = _gather_patches(windows, np.minimum(np.arange(lo, lo + PATCH_BLOCK), y.size - 1), acts[0])
         out, _ = mlp_forward(params, patches, use_ema, acts)
         scores[lo : lo + PATCH_BLOCK] = out[: y.size - lo]
     return ScoreField(scores.reshape(y.shape), backend="ardae")

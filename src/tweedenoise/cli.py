@@ -15,9 +15,10 @@ Exit codes: 0 success, 2 malformed config or manifest, 3 estimation failure
 ``estimate``, ``denoise`` and ``eval`` share one loop over
 ``pipeline.blind_estimate``: one group of all images with seed ``seed`` when
 pooled, else one group per image with seed ``seed + index``.  ``estimate``
-writes every index estimate, ``unknown`` included, and exits 3 on any other
-failure of a group; ``denoise``/``eval`` record a group's failure in the
-``error`` column of its rows and exit 0.  They reuse the score at y1 (y
+writes every index estimate, also with an ``unknown`` class or a failed
+level estimate (its level left empty), and exits 3 when a group has none;
+``denoise``/``eval`` record a group's failure in the ``error`` column of its
+rows and exit 0.  They reuse the score at y1 (y
 itself) for the known-level column, so each image is scored twice.
 """
 
@@ -331,7 +332,7 @@ def cmd_estimate(cfg) -> int:
     rows = []
     for im, _, _, est, seed in _blind_images(cfg, out, manifest["images"], make_backend(cfg)):
         report = est.report if isinstance(est, EstimationFailure) else est
-        if report.model_estimate is None:  # a failure other than unknown, e.g. an empty mask
+        if report.model_estimate is None:  # no index estimate, e.g. an empty mask
             raise est
         rep = _estimation_report(seed, report)
         (out / f"estimate_{im['index']:03d}.json").write_text(rep.to_json())

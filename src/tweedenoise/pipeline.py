@@ -30,7 +30,7 @@ from .estimate import (
     estimate_rho,
     perturb,
 )
-from .scores import ScoreField, gaussian_posterior, quadrature_posterior
+from .scores import ScoreField, gaussian_posterior, posterior_moment
 from .simulate import GmmPrior
 from .tweedie import EPS_Y, ModelKind, NoiseModel, denoise_field
 
@@ -91,7 +91,8 @@ def blind_estimate(ys, score_backend, cfg: DenoiseCfg):
     and y1-scores are returned so callers can apply the formula without
     re-evaluating the backend.  Raises :class:`EstimationFailure` on an
     empty mask, an unknown classification or a failed level estimate; its
-    report carries the y1 scores, and the model estimate when it is unknown.
+    report carries the y1 scores, and the model estimate when there is one
+    (an unknown classification or a failed level estimate).
     """
     cfg.validate()
     pairs, f1, f2 = [], [], []
@@ -104,8 +105,8 @@ def blind_estimate(ys, score_backend, cfg: DenoiseCfg):
     report = DenoiseReport(backend=s1.backend, y1_scores=f1)
     try:
         me = estimate_rho(pooled_pair, s1, s2, mask_eps=cfg.mask_eps, rho_assumed=cfg.rho_assumed)
+        report.model_estimate = me
         if me.classified == UNKNOWN:
-            report.model_estimate = me
             raise EstimationFailure(f"rho_hat={me.rho_hat:.3f} classified as unknown; no level estimator applies")
         le = estimate_level(me.classified, pooled_pair, s1, s2)
     except EstimationFailure as exc:
@@ -215,7 +216,9 @@ def posterior_mean_field(y, prior: GmmPrior, model: NoiseModel, order: int = 96)
     """Vectorized E[x | y] over a whole tensor.
 
     Gaussian uses the exact conjugate-mixture closed form; Poisson and Gamma
-    use fixed-order Gauss-Legendre over the prior components (agrees with
+    read the order-``order`` Gauss-Legendre posterior over the prior
+    components from the checked table the score oracle shares
+    (:func:`scores.posterior_moment`; agrees with
     :func:`brute_posterior_mean` to quadrature accuracy).
     """
     model.validate()
@@ -224,4 +227,4 @@ def posterior_mean_field(y, prior: GmmPrior, model: NoiseModel, order: int = 96)
     if kind is ModelKind.GAUSSIAN:
         # per component the conjugate mean m_j + s_j^2 / v_j * (y - m_j)
         return gaussian_posterior(y, prior, model.level, np.square(prior.stds), prior.means)
-    return quadrature_posterior(y, prior, model, order)[1]
+    return posterior_moment(y, prior, model, order, 1)

@@ -15,9 +15,7 @@ differentiation under the integral:
 
 The lgamma interpolation makes the Poisson likelihood smooth in y, so the
 same under-the-integral route serves both kinds; the digamma term is the
-exact derivative of the interpolated normalizer.  Every call is
-double-checked against a doubled quadrature order and fails loudly rather
-than returning an unconverged score.
+exact derivative of the interpolated normalizer.
 
 On the log scale the node posterior p(x_j | y) is affine in y: the terms
 constant in x (lgamma(n+1); lgamma(k) and (k-1)*log(y)) cancel on
@@ -26,14 +24,29 @@ normalisation, leaving c_j + y*d_j, with logw_j the node's log-weight:
     Poisson  c_j = logw_j - x_j/zeta,        d_j = log(x_j/zeta)/zeta
     Gamma    c_j = logw_j + k*log(k/x_j),    d_j = -k/x_j
 
-``quadrature_posterior`` evaluates it in blocks of QUAD_BLOCK pixels, which
-bounds memory whatever the image size, for the score and the oracle column.
+``quadrature_posterior`` evaluates it directly, in blocks of QUAD_BLOCK
+pixels, which bounds memory whatever the image size.  With ``slopes`` it
+also returns the first two y-derivatives of E[f | y] and E[x | y], which
+are posterior cumulants with d: Cov(v, d) and k(v, d, d).
+
+Both E[f | y] and E[x | y] are 1-D functions of y fixed by (prior, model),
+so the checked score and the oracle column read them from one table per
+(prior, model, order), ``posterior_table``: quintic Hermite interpolation
+of the values and both derivatives on a uniform grid from EPS_Y over a span
+set by the prior and the model.  Its step is halved until the interpolant
+meets direct quadrature at every cell midpoint, and each cell is also
+checked against half the quadrature order, so a pixel in an unconverged
+cell fails loudly rather than returning an unconverged score.  A pixel's
+value is then a pure function of its own y.  Pixels above the span are
+evaluated directly, with the same order-halving check.
 scipy is imported only where it is used: digamma, in the Poisson score.
 """
 
 from __future__ import annotations
 
 import functools
+import logging
+import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,6 +60,12 @@ QUAD_ORDER = 48  # per-component Gauss-Legendre points
 QUAD_SPAN = 8.0  # integrate each component over mean +- QUAD_SPAN stds
 CONVERGENCE_TOL = 1e-6  # max |score(order) - score(2*order)| allowed
 QUAD_BLOCK = 2048  # pixels per block of the quadrature kernel
+TABLE_STEP = 2.0**-10  # the first table step tried; halved until the midpoint check passes
+TABLE_MIN_STEP = 2.0**-15  # the last
+MIDPOINT_TOL = 1e-10  # max |score| gap of the table's interpolant at a cell midpoint
+MIDPOINT_RTOL = 1e-13  # max relative E[x | y] gap there
+
+log = logging.getLogger("tweedenoise")
 
 
 @dataclass(frozen=True)
@@ -119,12 +138,17 @@ def _component_nodes(prior: GmmPrior, order: int):
     return xs, logws
 
 
-def quadrature_posterior(y, prior: GmmPrior, model: NoiseModel, order: int):
+def quadrature_posterior(y, prior: GmmPrior, model: NoiseModel, order: int, slopes: bool = False):
     """(E[f(x) | y], E[x | y]) over the quadrature nodes, each shaped like
     ``y``, for Poisson or Gamma noise, with f = log(x/zeta) (Poisson) or 1/x
     (Gamma).  Per block, [y, 1] @ [d; c] fills a reused buffer with the node
     logits, which are shifted by their row max and exponentiated in place;
-    one product with the node columns [1, f, x] sums all three moments."""
+    one product with the node columns [1, f, x] sums all three moments.
+
+    With ``slopes`` the tuple goes on with (E[f]', E[x]', E[f]'', E[x]''),
+    the y-derivatives: as the logits are c + y*d, dE[v|y]/dy = Cov(v, d) and
+    d2E[v|y]/dy2 = k(v, d, d), the third joint cumulant, so the same product
+    takes six more columns, v*d and v*d^2 for v = 1, f, x."""
     xs, logws = _component_nodes(prior, order)
     kind = ModelKind(model.kind)
     if kind is ModelKind.POISSON:
@@ -137,9 +161,13 @@ def quadrature_posterior(y, prior: GmmPrior, model: NoiseModel, order: int):
         c, d = logws + k * np.log(k / xs), -k * f
     else:
         raise DomainError(f"quadrature oracle only covers Poisson/Gamma, got {kind}")
-    dc, cols = np.stack([d, c]), np.stack([np.ones_like(xs), f, xs], axis=1)
+    dc, cols = np.stack([d, c]), [np.ones_like(xs), f, xs]
+    if slopes:
+        dm = d - d.mean()  # cumulants are unmoved by a shift of d; centring keeps their digits
+        cols += [v * dm for v in cols] + [v * dm * dm for v in cols]
+    cols = np.stack(cols, axis=1)
     flat = np.asarray(y, dtype=np.float64).ravel()
-    sums = np.empty((flat.size, 3))
+    sums = np.empty((flat.size, cols.shape[1]))
     y_one = np.ones((min(flat.size, QUAD_BLOCK), 2))
     buf = np.empty((len(y_one), xs.size))
     for lo in range(0, flat.size, QUAD_BLOCK):
@@ -149,11 +177,134 @@ def quadrature_posterior(y, prior: GmmPrior, model: NoiseModel, order: int):
         b -= b.max(axis=1, keepdims=True)
         np.exp(b, out=b)
         np.matmul(b, cols, out=sums[lo : lo + n])
-    return tuple((sums[:, 1:] / sums[:, :1]).T.reshape(2, *np.shape(y)))
+    m = (sums[:, 1:] / sums[:, :1]).T
+    if slopes:  # raw moments E[v d^j] to cumulants
+        ev, ed, evd, edd, evdd = m[:2], m[2], m[3:5], m[5], m[6:8]
+        cov = evd - ev * ed
+        m = np.concatenate([ev, cov, evdd - ev * edd - 2.0 * ed * cov])
+    return tuple(m.reshape(len(m), *np.shape(y)))
 
 
-def _quad_score_once(y, prior, model, order):
-    e_f, _ = quadrature_posterior(y, prior, model, order)
+@dataclass(frozen=True)
+class PosteriorTable:
+    """E[f | y] and E[x | y] as quintic Hermite polynomials on the cells
+    [EPS_Y + i*step, EPS_Y + (i+1)*step]: ``coef[j, q, i]`` multiplies t^j,
+    t = (y - EPS_Y)/step - i, for q = 0 (E[f]) and 1 (E[x]).  ``ok[i]`` says
+    whether cell i passed both convergence checks."""
+
+    step: float
+    coef: np.ndarray
+    ok: np.ndarray
+
+
+def _hermite_coef(values, step: float) -> np.ndarray:
+    """(6, 2, cells) power coefficients in t of the quintic that matches the
+    values and the first two y-derivatives of E[f] and E[x] at both ends of
+    each cell; ``values`` is quadrature_posterior's tuple with slopes."""
+    v, d, s = np.stack(values[0:2]), step * np.stack(values[2:4]), step * step * np.stack(values[4:6])
+    a = v[:, 1:] - v[:, :-1] - d[:, :-1] - 0.5 * s[:, :-1]
+    b = d[:, 1:] - d[:, :-1] - s[:, :-1]
+    c = s[:, 1:] - s[:, :-1]
+    return np.stack([v[:, :-1], d[:, :-1], 0.5 * s[:, :-1],
+                     10.0 * a - 4.0 * b + 0.5 * c, -15.0 * a + 7.0 * b - c, 6.0 * a - 3.0 * b + 0.5 * c])
+
+
+def _horner(coef, t):
+    r = coef[5] * t
+    for j in range(4, 0, -1):
+        r += coef[j]
+        r *= t
+    r += coef[0]
+    return r
+
+
+@functools.lru_cache(maxsize=8)
+def posterior_table(prior: GmmPrior, model: NoiseModel, order: int) -> PosteriorTable:
+    """The checked table of the order-``order`` quadrature posterior,
+    built once per (prior, model, order) and returned read-only.
+
+    The span runs from EPS_Y to QUAD_SPAN noise standard deviations above
+    the highest prior component's node range; the step starts at
+    TABLE_STEP and is halved until every cell that passes the order check
+    also passes the midpoint check, or TABLE_MIN_STEP is reached.  A cell
+    passes the order check when the score at order//2 and at ``order``
+    agree within CONVERGENCE_TOL at both its nodes, and the midpoint check
+    when the interpolant at its midpoint agrees with direct quadrature
+    within MIDPOINT_TOL on the score and MIDPOINT_RTOL relative on E[x].
+    Neither the span nor the step depends on any data."""
+    t0 = time.perf_counter()
+    scale = _score_scale(model)
+    x_hi = max(m + QUAD_SPAN * sd for m, sd in zip(prior.means, prior.stds))
+    noise_sd = np.sqrt(model.level * x_hi) if ModelKind(model.kind) is ModelKind.POISSON else x_hi / np.sqrt(model.level)
+    top, step = x_hi + QUAD_SPAN * noise_sd, TABLE_STEP
+    while True:
+        ys = EPS_Y + step * np.arange(int(np.ceil((top - EPS_Y) / step)) + 1)
+        fine = quadrature_posterior(ys, prior, model, order, slopes=True)
+        node_gap = scale * np.abs(quadrature_posterior(ys, prior, model, order // 2)[0] - fine[0])
+        order_gap = np.maximum(node_gap[:-1], node_gap[1:])
+        coef = _hermite_coef(fine, step)
+        e_f, e_x = quadrature_posterior(ys[:-1] + 0.5 * step, prior, model, order)
+        mid_f, mid_x = _horner(coef, 0.5)
+        mid_gap = scale * np.abs(mid_f - e_f), np.abs(mid_x / e_x - 1.0)
+        gap = np.maximum(mid_gap[0] / MIDPOINT_TOL, mid_gap[1] / MIDPOINT_RTOL)
+        converged = order_gap <= CONVERGENCE_TOL
+        if step <= TABLE_MIN_STEP or np.all(gap[converged] <= 1.0):
+            break
+        step /= 2.0
+    ok = converged & (gap <= 1.0)
+    coef.flags.writeable = ok.flags.writeable = False
+    log.info(
+        "quadrature table %s %g, order %d: step %.3g, %d cells, %d failing; over the others the worst order gap"
+        " %.2e, midpoint gaps %.2e on the score and %.2e relative on E[x]; built in %.3f s",
+        ModelKind(model.kind).value, model.level, order, step, ok.size, ok.size - np.count_nonzero(ok),
+        *(np.max(g[ok], initial=0.0) for g in (order_gap, *mid_gap)), time.perf_counter() - t0,
+    )
+    return PosteriorTable(step, coef, ok)
+
+
+def posterior_moment(y, prior: GmmPrior, model: NoiseModel, order: int, q: int) -> np.ndarray:
+    """E[f | y] (q = 0) or E[x | y] (q = 1) at quadrature ``order``, shaped
+    like ``y``.  Within the span of ``posterior_table(prior, model, order)``
+    it is read from the table, in blocks of QUAD_BLOCK pixels, the first
+    cell also serving y from the intensity floor 0.999*EPS_Y up to EPS_Y; a
+    pixel in a cell that failed the table's checks raises
+    :class:`QuadratureError`.  Above the span it is evaluated directly, and
+    the score at order//2 and at ``order`` must agree within
+    CONVERGENCE_TOL."""
+    y = _checked_domain(y, model)
+    table = posterior_table(prior, model, order)
+    flat, cells = y.ravel(), table.ok.size
+    out, above = np.empty_like(flat), np.empty(flat.shape, dtype=bool)
+    for lo in range(0, flat.size, QUAD_BLOCK):
+        t = (flat[lo : lo + QUAD_BLOCK] - EPS_Y) / table.step
+        off = np.greater_equal(t, cells, out=above[lo : lo + QUAD_BLOCK])
+        i = np.clip(np.floor(t), 0, cells - 1)
+        t -= i
+        i = i.astype(np.intp)
+        bad = ~(table.ok[i] | off)
+        if bad.any():
+            raise QuadratureError(
+                f"quadrature not converged at y = {flat[lo + np.argmax(bad)]:.6g}: its cell of the"
+                " quadrature table failed the order-doubling or the midpoint check"
+            )
+        out[lo : lo + QUAD_BLOCK] = _horner(table.coef[:, q, i], t)
+    if above.any():
+        ya = flat[above]
+        fine = quadrature_posterior(ya, prior, model, order)
+        coarse = quadrature_posterior(ya, prior, model, order // 2)[0]
+        gap = _score_scale(model) * float(np.max(np.abs(coarse - fine[0])))
+        if gap > CONVERGENCE_TOL:
+            raise QuadratureError(f"quadrature not converged: order {order // 2} vs {order} differ by {gap:.3e}")
+        out[above] = fine[q]
+    return out.reshape(y.shape)
+
+
+def _score_scale(model: NoiseModel) -> float:
+    """|d score / d E[f | y]|: k for Gamma, 1/zeta for Poisson."""
+    return model.level if ModelKind(model.kind) is ModelKind.GAMMA else 1.0 / model.level
+
+
+def _score(y, e_f, model: NoiseModel):
     if ModelKind(model.kind) is ModelKind.POISSON:
         from scipy.special import digamma
         zeta = model.level
@@ -162,28 +313,28 @@ def _quad_score_once(y, prior, model, order):
     return (k - 1.0) / y - k * e_f
 
 
+def _checked_domain(y, model: NoiseModel) -> np.ndarray:
+    model.validate()
+    y = np.asarray(y, dtype=np.float64)
+    if not np.all(np.isfinite(y)):
+        raise DomainError("y must be finite")
+    if np.any(y < EPS_Y * 0.999):
+        raise DomainError("y below the intensity floor")
+    return y
+
+
 def numeric_marginal_score(
     y, prior: GmmPrior, model: NoiseModel, order: int = QUAD_ORDER, check: bool = True
 ) -> ScoreField:
     """Quadrature-oracle score for Poisson or Gamma noise over a GMM prior.
 
-    With ``check`` the score is recomputed at twice the order and any
-    disagreement beyond CONVERGENCE_TOL raises :class:`QuadratureError`.
+    Without ``check``, one direct evaluation at ``order``.  With ``check``,
+    E[f | y] comes from ``posterior_moment`` at ``2 * order``, checked
+    against ``order``: an unconverged pixel raises :class:`QuadratureError`.
     """
-    model.validate()
-    y = np.asarray(y, dtype=np.float64)
-    if np.any(y < EPS_Y * 0.999):
-        raise DomainError("y below the intensity floor")
-    s = _quad_score_once(y, prior, model, order)
-    if check:
-        s2 = _quad_score_once(y, prior, model, 2 * order)
-        gap = float(np.max(np.abs(s - s2))) if s.size else 0.0
-        if gap > CONVERGENCE_TOL:
-            raise QuadratureError(
-                f"quadrature not converged: order {order} vs {2 * order} differ by {gap:.3e}"
-            )
-        s = s2  # return the finer evaluation
-    return ScoreField(s, backend="oracle-quadrature")
+    y = _checked_domain(y, model)
+    e_f = posterior_moment(y, prior, model, 2 * order, 0) if check else quadrature_posterior(y, prior, model, order)[0]
+    return ScoreField(_score(y, e_f, model), backend="oracle-quadrature")
 
 
 def geometric_schedule(sigma_a_max: float, sigma_a_min: float, T: int):

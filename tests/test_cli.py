@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 from tweedenoise import (
     EPS_Y,
     DenoiseCfg,
+    EstimationFailure,
     GmmPrior,
     analytic_score_gaussian,
     blind_estimate,
@@ -29,7 +30,7 @@ from tweedenoise import (
     load_tensor,
     psnr,
 )
-from tweedenoise import cli
+from tweedenoise import cli, pipeline
 from tweedenoise.cli import main
 
 SIGMA = 25.0 / 255.0
@@ -364,6 +365,26 @@ def test_estimate_failure_exit_code(synth_run):
     cfg = base_config(out)
     cfg["estimation"] = {"mask_eps": 1e-30}  # nothing survives the mask
     assert run("estimate", write_config(tmp_path, cfg, "strict.json")) == 3
+
+
+@pytest.mark.parametrize("pooled", [True, False])
+def test_estimate_writes_a_row_when_only_the_level_fails(synth_run, monkeypatch, pooled):
+    out, _, tmp_path = synth_run
+
+    def no_quorum(kind, *args, **kwargs):
+        raise EstimationFailure(f"only 3 valid pixels for {kind} level (quorum 16)")
+
+    monkeypatch.setattr(pipeline, "estimate_level", no_quorum)
+    cfg = base_config(out)
+    cfg["estimation"] = {"pooled": pooled}
+    assert run("estimate", write_config(tmp_path, cfg, "nolevel.json")) == 0
+    _, rows = read_csv(out / "estimates.csv")
+    assert len(rows) == 4
+    for r in rows:
+        assert float(r[1]) >= 0 and r[2] == "gaussian" and r[3] == ""
+    for i in range(4):
+        rep = json.loads((out / f"estimate_{i:03d}.json").read_text())
+        assert rep["model"] == "gaussian" and rep["level"] is None
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,7 @@ from tweedenoise import (
     numeric_marginal_score,
     posterior_mean_field,
 )
-from tweedenoise.scores import QUAD_BLOCK, _component_nodes
+from tweedenoise.scores import QUAD_BLOCK, _component_nodes, posterior_table, quadrature_posterior
 
 P2 = GmmPrior((0.5, 0.5), (0.3, 0.9), (0.02, 0.02))
 P58 = GmmPrior((0.5, 0.5), (0.5, 0.8), (0.02, 0.02))
@@ -241,6 +241,77 @@ def test_quadrature_memory_is_bounded_by_the_block():
     finally:
         tracemalloc.stop()
     assert peak <= 32 * 2**20
+
+
+@pytest.mark.parametrize("model", QUAD_MODELS, ids=lambda m: m.kind.value)
+def test_tabulated_score_and_column_are_pure_functions_of_each_pixel(model):
+    y = np.random.default_rng(20).uniform(0.3, 1.1, size=(67, 71))  # several blocks, ragged tail
+    for f in (lambda v: numeric_marginal_score(v, P58, model).values, lambda v: posterior_mean_field(v, P58, model)):
+        np.testing.assert_array_equal(f(y.ravel()[7:]), f(y).ravel()[7:])
+
+
+@pytest.mark.parametrize("model", QUAD_MODELS, ids=lambda m: m.kind.value)
+def test_tabulated_values_are_bitwise_independent_of_history(model):
+    # the table's span and step come from (prior, model, order), never from the call that builds it
+    small = np.random.default_rng(21).uniform(0.45, 0.55, size=300)
+    wide = np.random.default_rng(22).uniform(EPS_Y, 1.5, size=5000)
+    runs = []
+    for first in (small, wide):
+        posterior_table.cache_clear()
+        numeric_marginal_score(first, P58, model)
+        runs.append((numeric_marginal_score(small, P58, model).values, posterior_mean_field(small, P58, model)))
+    for a, b in zip(*runs):
+        np.testing.assert_array_equal(a, b)
+
+
+def test_quadrature_table_is_built_once_and_read_only():
+    model = NoiseModel(ModelKind.GAMMA, 77.0)
+    y1 = np.random.default_rng(23).uniform(0.3, 1.1, size=(40, 40))
+    y2 = y1 + 1e-5 * np.random.default_rng(24).standard_normal(y1.shape)
+    posterior_table.cache_clear()
+    numeric_marginal_score(y1, P58, model)
+    numeric_marginal_score(y2, P58, model)
+    posterior_mean_field(y1, P58, model)
+    assert posterior_table.cache_info().misses == 1
+    table = posterior_table(P58, model, 2 * 48)
+    for a in (table.coef, table.ok):
+        assert not a.flags.writeable
+        with pytest.raises(ValueError):
+            a.flat[0] = 0
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_quadrature_oracles_reject_nonfinite_y_before_tabulating(bad):
+    model = NoiseModel(ModelKind.POISSON, 0.03)
+    y = np.array([0.5, bad, 0.7])
+    before = posterior_table.cache_info().misses
+    for f in (
+        lambda: numeric_marginal_score(y, P58, model),
+        lambda: numeric_marginal_score(y, P58, model, check=False),
+        lambda: posterior_mean_field(y, P58, model),
+    ):
+        with pytest.raises(DomainError):
+            f()
+    assert posterior_table.cache_info().misses == before
+
+
+@pytest.mark.parametrize("model", QUAD_MODELS, ids=lambda m: m.kind.value)
+def test_pixels_above_the_table_span_take_the_direct_kernel(model):
+    y = np.random.default_rng(25).uniform(0.3, 1.1, size=(512, 512))
+    above = np.zeros(y.shape, dtype=bool)
+    above.flat[::97] = True
+    y[above] = 10.0  # far above the span of any table of P58
+    posterior_table.cache_clear()  # the table's build counts towards the peak
+    tracemalloc.start()
+    try:
+        score = numeric_marginal_score(y, P58, model).values
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 32 * 2**20
+    direct = numeric_marginal_score(y[above], P58, model, order=96, check=False).values
+    np.testing.assert_array_equal(score[above], direct)
+    np.testing.assert_array_equal(posterior_mean_field(y, P58, model)[above], quadrature_posterior(y[above], P58, model, 96)[1])
 
 
 # ---------------------------------------------------------------------------
