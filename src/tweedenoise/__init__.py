@@ -30,7 +30,6 @@ from .errors import (
 )
 from .estimate import (
     UNKNOWN,
-    EstimationReport,
     LevelEstimate,
     ModelEstimate,
     PerturbationPair,

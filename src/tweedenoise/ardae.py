@@ -60,13 +60,13 @@ class ArdaeConfig:
     seed: int = 0
 
     def validate(self) -> "ArdaeConfig":
-        if not (0 < self.sigma_a_min <= self.sigma_a_max):
-            raise DomainError("need 0 < sigma_a_min <= sigma_a_max")
+        if not (0 < self.sigma_a_min <= self.sigma_a_max < np.inf):
+            raise DomainError("need 0 < sigma_a_min <= sigma_a_max < inf")
         if not (0 <= self.ema_decay < 1):
             raise DomainError("ema_decay must lie in [0, 1)")
         if self.epochs < 0 or self.batch_size < 1 or self.schedule_len < 2:
             raise DomainError("bad epochs/batch_size/schedule_len")
-        if self.lr <= 0 or self.patch_radius < 0 or min(self.hidden, default=1) < 1:
+        if not 0 < self.lr < np.inf or self.patch_radius < 0 or min(self.hidden, default=1) < 1:
             raise DomainError("bad lr/patch_radius/hidden")
         return self
 

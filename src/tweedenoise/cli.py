@@ -9,17 +9,19 @@ at any nesting level.  Gaussian noise levels are given as sigma on the
 0-255 scale (divided by 255 at parse time); Poisson zeta and Gamma k are
 unit-scale already.
 
-Exit codes: 0 success, 2 malformed config or manifest, 3 estimation failure
-(quadrature non-convergence included), 4 training divergence.
+Exit codes: 0 success, 2 malformed config or manifest (NaN or Infinity
+too), 3 estimation failure (quadrature non-convergence included), 4
+training divergence.
 
 ``estimate``, ``denoise`` and ``eval`` share one loop over
 ``pipeline.blind_estimate``: one group of all images with seed ``seed`` when
-pooled, else one group per image with seed ``seed + index``.  ``estimate``
-writes every index estimate, also with an ``unknown`` class or a failed
-level estimate (its level left empty), and exits 3 when a group has none;
-``denoise``/``eval`` record a group's failure in the ``error`` column of its
-rows and exit 0.  They reuse the score at y1 (y
-itself) for the known-level column, so each image is scored twice.
+pooled, else one group per image with seed ``seed + index``; each image gets
+its group's ``pipeline.DenoiseReport``.  ``estimate`` writes every index
+estimate, also with an ``unknown`` class or a failed level estimate (its
+level left empty), and exits 3 when a group has none; ``denoise``/``eval``
+record a group's ``error`` in the column of that name and exit 0.  They
+reuse the score at y1 (y itself) for the known-level column, so each image
+is scored twice.
 """
 
 from __future__ import annotations
@@ -42,7 +44,6 @@ from .errors import (
     TweedenoiseError,
     ValidationError,
 )
-from .estimate import EstimationReport
 from .pipeline import (
     DenoiseCfg,
     DenoiseReport,
@@ -123,12 +124,16 @@ def _section(d, where: str, *required: str) -> dict:
     return d
 
 
+def _reject_constant(name: str):
+    raise ValueError(f"{name} is not a finite number")
+
+
 def _read_json(path: Path, what: str) -> dict:
     if not path.is_file():
         raise ValidationError(f"{what} {path} does not exist")
     try:
-        raw = json.loads(path.read_text())
-    except ValueError as exc:  # malformed JSON or not text at all
+        raw = json.loads(path.read_text(), parse_constant=_reject_constant)
+    except ValueError as exc:  # malformed JSON, NaN or Infinity, or not text at all
         raise ValidationError(f"{what} {path} is not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise ValidationError(f"{what} {path} must hold a JSON object")
@@ -224,13 +229,6 @@ def make_backend(cfg):
     return lambda y: numeric_marginal_score(y, prior, model)
 
 
-def _natural_level(kind: str, value: float) -> float:
-    # internal levels are sigma^2 | zeta | k; reports use sigma | zeta | k
-    if kind == ModelKind.GAUSSIAN.value:
-        return float(np.sqrt(value))
-    return float(value)
-
-
 def _load_manifest(out_dir: Path):
     manifest = _section(_read_json(out_dir / "manifest.json", "manifest"), "manifest", "model", "level", "images")
     if not manifest["images"]:
@@ -289,8 +287,8 @@ def cmd_train(cfg) -> int:
 
 
 def _blind_images(cfg, out: Path, images, backend):
-    """(manifest image, y, score at y1, DenoiseReport or EstimationFailure,
-    probe seed) per image, in manifest order.
+    """(manifest image, y, score at y1, the group's DenoiseReport) per image,
+    in manifest order; a failed group's report names the failure in ``error``.
 
     A pooled run estimates once over all images with seed ``seed``; a
     per-image run estimates each image alone with seed ``seed + index``.  A
@@ -307,22 +305,13 @@ def _blind_images(cfg, out: Path, images, backend):
         ys = [load_tensor(out / im["noisy"]) for im in group]
         try:
             me, le, pairs, f1 = blind_estimate(ys, backend, group_cfg)
-            del pairs  # frees y2 and u before the next group is scored
-            est = DenoiseReport(backend=f1[0].backend, model_estimate=me, level_estimate=le, y1_scores=f1)
-        except EstimationFailure as exc:  # its traceback would keep the group's arrays alive
-            est, f1 = exc.with_traceback(None), exc.report.y1_scores
-        for im, y, s1 in zip(group, ys, f1):
-            yield im, y, s1, est, group_cfg.seed
-        del ys, f1, est, y, s1
-
-
-def _estimation_report(seed: int, report: DenoiseReport) -> EstimationReport:
-    """A group's estimate, probed with ``seed``, as ``estimate_NNN.json`` and
-    ``denoise_NNN.json`` record it."""
-    me, le = report.model_estimate, report.level_estimate
-    level = None if le is None else _natural_level(me.classified, le.value)
-    pixels = sum(s.values.size for s in report.y1_scores)
-    return EstimationReport(me.rho_hat, me.classified, level, me.mask_fraction, pixels, seed, report.backend)
+            report = DenoiseReport(f1[0].backend, me, le, y1_scores=f1, seed=group_cfg.seed)
+            del pairs, f1  # frees y2 and u before the next group is scored
+        except EstimationFailure as exc:
+            report = exc.report
+        for im, y, s1 in zip(group, ys, report.y1_scores):
+            yield im, y, s1, report
+        del ys, report, y, s1
 
 
 def cmd_estimate(cfg) -> int:
@@ -330,18 +319,16 @@ def cmd_estimate(cfg) -> int:
     manifest = _load_manifest(out)
     truth_kind, truth_level = manifest["model"], manifest["level"]
     rows = []
-    for im, _, _, est, seed in _blind_images(cfg, out, manifest["images"], make_backend(cfg)):
-        report = est.report if isinstance(est, EstimationFailure) else est
-        if report.model_estimate is None:  # no index estimate, e.g. an empty mask
-            raise est
-        rep = _estimation_report(seed, report)
-        (out / f"estimate_{im['index']:03d}.json").write_text(rep.to_json())
+    for im, _, _, report in _blind_images(cfg, out, manifest["images"], make_backend(cfg)):
+        me, level = report.model_estimate, report.level
+        if me is None:  # no index estimate, e.g. an empty mask
+            raise EstimationFailure(report.error)
+        (out / f"estimate_{im['index']:03d}.json").write_text(report.to_json())
         rows.append(
-            [im["index"], repr(rep.rho_hat), rep.model,
-             "" if rep.level is None else repr(rep.level),
-             truth_kind, repr(truth_level), int(rep.model == truth_kind)]
+            [im["index"], repr(me.rho_hat), me.classified, "" if level is None else repr(level),
+             truth_kind, repr(truth_level), int(me.classified == truth_kind)]
         )
-        del _, est, report  # the group's scores, freed before the next group is scored
+        del _, report  # the group's scores, freed before the next group is scored
     with open(out / "estimates.csv", "w", newline="") as fh:
         wr = csv.writer(fh)
         wr.writerow(["image", "rho_hat", "model", "level", "truth_model", "truth_level", "correct"])
@@ -357,24 +344,21 @@ def _denoise_batch(cfg, save_tensors: bool) -> int:
     _need_truth(cfg, "denoise/eval")
     truth = _true_model(cfg)
     rows = []
-    for im, y, s1, est, seed in _blind_images(cfg, out, manifest["images"], make_backend(cfg)):
+    for im, y, s1, report in _blind_images(cfg, out, manifest["images"], make_backend(cfg)):
         x = load_tensor(out / im["clean"])
-        row = {"image": im["index"], "noisy": psnr(x, y)}
-        if isinstance(est, EstimationFailure):
-            log.warning("image %s blind path failed: %s", im["index"], est)
-            row["blind"] = float("nan")
-            row["error"] = str(est)
+        row = {"image": im["index"], "noisy": psnr(x, y), "blind": float("nan"), "error": report.error}
+        if report.error:
+            log.warning("image %s blind path failed: %s", im["index"], report.error)
         else:
-            xb, _ = denoise_estimated(y, s1, est.model_estimate, est.level_estimate)
+            xb, _ = denoise_estimated(y, s1, report.model_estimate, report.level_estimate)
             row["blind"] = psnr(x, xb)
-            row["error"] = ""
             if save_tensors:
                 save_tensor(out / f"denoised_{im['index']:03d}.f32", xb)
-                (out / f"denoise_{im['index']:03d}.json").write_text(_estimation_report(seed, est).to_json())
+                (out / f"denoise_{im['index']:03d}.json").write_text(report.to_json())
         row["known"] = psnr(x, denoise_known(y, truth, lambda _: s1))
         row["oracle"] = psnr(x, np.clip(posterior_mean_field(y, cfg["prior"], truth), EPS_Y, 1.0))
         rows.append(row)
-        del s1, est  # the group's scores, freed before the next group is scored
+        del s1, report  # the group's scores, freed before the next group is scored
 
     with open(out / "psnr.csv", "w", newline="") as fh:
         wr = csv.writer(fh)

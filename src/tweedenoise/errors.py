@@ -22,8 +22,9 @@ class SingularEstimateError(TweedenoiseError, ArithmeticError):
 class EstimationFailure(TweedenoiseError, RuntimeError):
     """Blind estimation could not produce a usable estimate.
 
-    Carries an optional ``report`` attribute with whatever diagnostics were
-    assembled before the failure.
+    ``report`` is optional; ``pipeline.blind_estimate`` sets it to its
+    ``DenoiseReport``: the y1 scores, the probe seed, this message as
+    ``error``, and the model estimate when there is one.
     """
 
     def __init__(self, msg, report=None):

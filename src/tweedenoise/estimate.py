@@ -30,8 +30,7 @@ reported.
 
 from __future__ import annotations
 
-import json
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -74,20 +73,6 @@ class LevelEstimate:
     value: float  # sigma^2 | zeta | k
     pixel_count: int
     iqr: float  # spread of the per-pixel estimates
-
-
-@dataclass(frozen=True)
-class EstimationReport:
-    rho_hat: float
-    model: str
-    level: float | None
-    mask_fraction: float
-    pixel_count: int
-    seed: int
-    backend: str
-
-    def to_json(self) -> str:
-        return json.dumps(asdict(self), sort_keys=True)
 
 
 def perturb(y1: np.ndarray, eps: float, seed: int) -> PerturbationPair:

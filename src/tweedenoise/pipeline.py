@@ -13,6 +13,7 @@ serves as the ground truth that the Tweedie formulas are tested against.
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -30,7 +31,7 @@ from .estimate import (
     estimate_rho,
     perturb,
 )
-from .scores import ScoreField, gaussian_posterior, posterior_moment
+from .scores import QUAD_ORDER, ScoreField, gaussian_posterior, posterior_moment
 from .simulate import GmmPrior
 from .tweedie import EPS_Y, ModelKind, NoiseModel, denoise_field
 
@@ -45,31 +46,39 @@ class DenoiseCfg:
     def validate(self) -> "DenoiseCfg":
         if self.eps <= 0 or not np.isfinite(self.eps):
             raise ValidationError(f"perturbation eps must be positive, got {self.eps} (y2 must differ from y1)")
-        if self.mask_eps <= 0:
-            raise ValidationError(f"mask_eps must be positive, got {self.mask_eps}")
+        if self.mask_eps <= 0 or not np.isfinite(self.mask_eps):
+            raise ValidationError(f"mask_eps must be positive and finite, got {self.mask_eps}")
+        if not np.isfinite(self.rho_assumed):
+            raise ValidationError(f"rho_assumed must be finite, got {self.rho_assumed}")
         return self
 
 
 @dataclass
 class DenoiseReport:
+    """One group's blind estimate, from ``blind_estimate`` to ``estimate_NNN.json``."""
+
     backend: str = "unspecified"
     model_estimate: ModelEstimate | None = None
     level_estimate: LevelEstimate | None = None
     n_singular: int = 0
     y1_scores: list = field(default_factory=list)  # per image of the estimated group
+    seed: int = 0  # the group's probe seed
+    error: str = ""  # the estimation failure's message
 
-    def to_dict(self) -> dict:
-        """JSON-ready dict of the estimate and the formula's singular-pixel count."""
-        me, le = self.model_estimate, self.level_estimate
-        return {
-            "backend": self.backend,
-            "rho_hat": None if me is None else me.rho_hat,
-            "model": None if me is None else me.classified,
-            "mask_fraction": None if me is None else me.mask_fraction,
-            "level": None if le is None else le.value,
-            "level_pixels": None if le is None else le.pixel_count,
-            "n_singular": self.n_singular,
-        }
+    @property
+    def level(self) -> float | None:
+        """The level in natural units: sigma, zeta or k (internally sigma^2 | zeta | k)."""
+        le = self.level_estimate
+        if le is None:
+            return None
+        return float(np.sqrt(le.value)) if le.kind == ModelKind.GAUSSIAN.value else le.value
+
+    def to_json(self) -> str:
+        """``estimate_NNN.json``: the index estimate (there must be one), the level and the probe."""
+        me = self.model_estimate
+        keys = dict(backend=self.backend, level=self.level, mask_fraction=me.mask_fraction, model=me.classified,
+                    pixel_count=sum(s.values.size for s in self.y1_scores), rho_hat=me.rho_hat, seed=self.seed)
+        return json.dumps(keys, sort_keys=True)
 
 
 def _pool(pairs, fields1, fields2):
@@ -91,8 +100,8 @@ def blind_estimate(ys, score_backend, cfg: DenoiseCfg):
     and y1-scores are returned so callers can apply the formula without
     re-evaluating the backend.  Raises :class:`EstimationFailure` on an
     empty mask, an unknown classification or a failed level estimate; its
-    report carries the y1 scores, and the model estimate when there is one
-    (an unknown classification or a failed level estimate).
+    report carries the y1 scores, the probe seed, the message as ``error``
+    and the model estimate when there is one.
     """
     cfg.validate()
     pairs, f1, f2 = [], [], []
@@ -102,7 +111,7 @@ def blind_estimate(ys, score_backend, cfg: DenoiseCfg):
         f1.append(score_backend(pair.y1))
         f2.append(score_backend(pair.y2))
     pooled_pair, s1, s2 = _pool(pairs, f1, f2)
-    report = DenoiseReport(backend=s1.backend, y1_scores=f1)
+    report = DenoiseReport(backend=s1.backend, y1_scores=f1, seed=cfg.seed)
     try:
         me = estimate_rho(pooled_pair, s1, s2, mask_eps=cfg.mask_eps, rho_assumed=cfg.rho_assumed)
         report.model_estimate = me
@@ -110,6 +119,7 @@ def blind_estimate(ys, score_backend, cfg: DenoiseCfg):
             raise EstimationFailure(f"rho_hat={me.rho_hat:.3f} classified as unknown; no level estimator applies")
         le = estimate_level(me.classified, pooled_pair, s1, s2)
     except EstimationFailure as exc:
+        report.error = str(exc)
         exc.report = report
         raise
     return me, le, pairs, f1
@@ -128,7 +138,9 @@ def denoise_estimated(y1, s1: ScoreField, me: ModelEstimate, le: LevelEstimate):
 def denoise_blind(y, score_backend, cfg: DenoiseCfg = DenoiseCfg()):
     """Blind denoising of a single image; returns (xhat, DenoiseReport)."""
     me, le, pairs, f1 = blind_estimate([y], score_backend, cfg)
-    return denoise_estimated(pairs[0].y1, f1[0], me, le)
+    xhat, report = denoise_estimated(pairs[0].y1, f1[0], me, le)
+    report.y1_scores, report.seed = f1, cfg.seed
+    return xhat, report
 
 
 def denoise_known(y, model: NoiseModel, score_backend):
@@ -212,11 +224,11 @@ def brute_posterior_mean(y: float, prior: GmmPrior, model: NoiseModel) -> float:
     return num / den
 
 
-def posterior_mean_field(y, prior: GmmPrior, model: NoiseModel, order: int = 96):
+def posterior_mean_field(y, prior: GmmPrior, model: NoiseModel):
     """Vectorized E[x | y] over a whole tensor.
 
     Gaussian uses the exact conjugate-mixture closed form; Poisson and Gamma
-    read the order-``order`` Gauss-Legendre posterior over the prior
+    read the order-``2 * QUAD_ORDER`` Gauss-Legendre posterior over the prior
     components from the checked table the score oracle shares
     (:func:`scores.posterior_moment`; agrees with
     :func:`brute_posterior_mean` to quadrature accuracy).
@@ -227,4 +239,4 @@ def posterior_mean_field(y, prior: GmmPrior, model: NoiseModel, order: int = 96)
     if kind is ModelKind.GAUSSIAN:
         # per component the conjugate mean m_j + s_j^2 / v_j * (y - m_j)
         return gaussian_posterior(y, prior, model.level, np.square(prior.stds), prior.means)
-    return posterior_moment(y, prior, model, order, 1)
+    return posterior_moment(y, prior, model, 2 * QUAD_ORDER, 1)

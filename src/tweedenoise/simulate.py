@@ -44,6 +44,8 @@ class GmmPrior:
         s = np.asarray(self.stds, dtype=np.float64)
         if not (w.shape == m.shape == s.shape) or w.ndim != 1 or w.size == 0:
             raise DomainError("weights/means/stds must be equal-length 1-D sequences")
+        if not np.all(np.isfinite(np.concatenate([w, m, s]))):
+            raise DomainError("weights, means and stds must be finite")
         if abs(w.sum() - 1.0) > 1e-12:
             raise DomainError(f"weights sum to {w.sum()!r}, expected 1")
         if np.any(w < 0):

@@ -40,6 +40,9 @@ def test_config_validation():
         dict(epochs=-1),
         dict(schedule_len=1),
         dict(lr=0.0),
+        dict(lr=float("nan")),
+        dict(lr=float("inf")),
+        dict(sigma_a_max=float("inf")),
         dict(patch_radius=-1),
     ):
         with pytest.raises(DomainError):

@@ -141,6 +141,14 @@ def test_config_error_exit_codes(tmp_path):
     c = base_config(out); c["synth"]["height"] = "abc"; cases.append(("synth", c))
     c = base_config(out); c["estimation"] = {"eps": "x"}; cases.append(("synth", c))
     c = base_config(out); c["ardae"] = {"hidden": 5}; cases.append(("synth", c))
+    # JSON's NaN and Infinity
+    nan, inf = float("nan"), float("inf")
+    for section, key, value in (("estimation", "mask_eps", nan), ("estimation", "mask_eps", inf),
+                                ("estimation", "rho_assumed", inf), ("ardae", "lr", nan), ("ardae", "lr", inf),
+                                ("ardae", "sigma_a_max", inf)):
+        c = base_config(out); c[section] = {key: value}; cases += [("synth", c), ("estimate", c)]
+    for key in ("weights", "means", "stds"):
+        c = base_config(out); c["synth"]["prior"][key] = [nan, 0.8]; cases.append(("synth", c))
     # an oracle backend needs the prior and noise sections, and only fits its own families
     c = base_config(out); del c["synth"], c["noise"]; cases += [("estimate", c), ("eval", c)]
     for model, level in (("poisson", 0.02), ("gamma", 50)):
@@ -167,6 +175,9 @@ def test_config_error_exit_codes(tmp_path):
         assert run(command, str(tmp_path / "base.json")) == 2, command
     manifest = out / "manifest.json"
     manifest.write_text(manifest.read_text()[:40])  # truncated
+    assert run("estimate", str(tmp_path / "base.json")) == 2
+    assert run("synth", str(tmp_path / "base.json")) == 0
+    manifest.write_text(json.dumps(dict(json.loads(manifest.read_text()), level=float("nan"))))
     assert run("estimate", str(tmp_path / "base.json")) == 2
 
 
@@ -409,7 +420,7 @@ def test_denoise_psnr_table(synth_run):
         assert np.min(xb) >= np.float32(EPS_Y) and np.max(xb) <= 1.0
     rep = json.loads((out / "denoise_000.json").read_text())
     assert rep["model"] == "gaussian"
-    # both commands write the library's EstimationReport of the same estimate
+    # both commands write the DenoiseReport of the same estimate
     assert run("estimate", cfg_path) == 0
     assert (out / "denoise_000.json").read_bytes() == (out / "estimate_000.json").read_bytes()
 

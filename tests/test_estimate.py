@@ -1,5 +1,3 @@
-import json
-
 import numpy as np
 import pytest
 
@@ -8,7 +6,6 @@ from tweedenoise import (
     UNKNOWN,
     DomainError,
     EstimationFailure,
-    EstimationReport,
     GmmPrior,
     ModelKind,
     NoiseModel,
@@ -269,17 +266,3 @@ def test_level_rejects_unknown_kind():
     s = ScoreField(np.ones(64))
     with pytest.raises((DomainError, ValueError)):
         estimate_level("cauchy", pair, s, s)
-
-
-# ---------------------------------------------------------------------------
-# report
-
-def test_estimation_report_serializes():
-    rep = EstimationReport(
-        rho_hat=0.38, model="gaussian", level=0.01, mask_fraction=0.11,
-        pixel_count=4096, seed=7, backend="oracle-gaussian",
-    )
-    d = json.loads(rep.to_json())
-    assert d["model"] == "gaussian"
-    assert d["level"] == 0.01
-    assert d["pixel_count"] == 4096

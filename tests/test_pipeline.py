@@ -1,12 +1,17 @@
+import json
+
 import numpy as np
 import pytest
 
 from tweedenoise import (
     EPS_Y,
     DenoiseCfg,
+    DenoiseReport,
     DomainError,
     EstimationFailure,
     GmmPrior,
+    LevelEstimate,
+    ModelEstimate,
     ModelKind,
     NoiseModel,
     QuadratureError,
@@ -25,6 +30,7 @@ from tweedenoise import (
     psnr,
     sample_noisy,
 )
+from tweedenoise import pipeline
 
 PAL = GmmPrior((0.2, 0.8), (0.3, 0.9), (0.005, 0.005))
 P2 = GmmPrior((0.5, 0.5), (0.3, 0.7), (0.02, 0.02))
@@ -43,8 +49,12 @@ def gaussian_scene(seed_triple=(2, 102, 202)):
 def test_cfg_validation():
     with pytest.raises(ValidationError, match="eps"):
         DenoiseCfg(eps=0.0).validate()
-    with pytest.raises(ValidationError):
-        DenoiseCfg(mask_eps=0.0).validate()
+    for bad in (0.0, float("nan"), float("inf")):
+        with pytest.raises(ValidationError, match="mask_eps"):
+            DenoiseCfg(mask_eps=bad).validate()
+    for bad in (float("nan"), float("inf"), -float("inf")):
+        with pytest.raises(ValidationError, match="rho_assumed"):
+            DenoiseCfg(rho_assumed=bad).validate()
     DenoiseCfg().validate()
 
 
@@ -67,7 +77,8 @@ def test_blind_output_is_deterministic():
     a, ra = denoise_blind(y, backend, cfg)
     b, rb = denoise_blind(y, backend, cfg)
     np.testing.assert_array_equal(a, b)
-    assert ra.to_dict() == rb.to_dict()
+    assert ra.to_json() == rb.to_json()
+    assert ra.n_singular == rb.n_singular
 
 
 def test_blind_equals_known_at_estimated_model():
@@ -75,6 +86,36 @@ def test_blind_equals_known_at_estimated_model():
     xhat, report = denoise_blind(y, backend, cfg)
     est = NoiseModel(ModelKind(report.model_estimate.classified), report.level_estimate.value)
     np.testing.assert_array_equal(xhat, denoise_known(y, est, backend))
+
+
+def test_denoise_report_to_json(monkeypatch):
+    me = ModelEstimate(rho_hat=0.38, classified="gaussian", mask_fraction=0.11, roots=(0.38, -1.0))
+    scores = [ScoreField(np.zeros((64, 64)), "oracle-gaussian")] * 2
+    rep = DenoiseReport("oracle-gaussian", me, LevelEstimate("gaussian", 0.01, 4000, 0.001), y1_scores=scores, seed=7)
+    assert rep.to_json() == (
+        '{"backend": "oracle-gaussian", "level": 0.1, "mask_fraction": 0.11, "model": "gaussian", '
+        '"pixel_count": 8192, "rho_hat": 0.38, "seed": 7}'
+    )
+    gamma = ModelEstimate(rho_hat=2.1, classified="gamma", mask_fraction=0.2, roots=(2.1, 0.0))
+    rep = DenoiseReport("oracle-quadrature", gamma, LevelEstimate("gamma", 49.9, 4000, 3.0), y1_scores=scores)
+    assert json.loads(rep.to_json())["level"] == 49.9  # k as estimated
+    # denoise_blind reports sigma, not the internal sigma^2, and its probe
+    _, y, backend, cfg = gaussian_scene()
+    _, rep = denoise_blind(y, backend, cfg)
+    d = json.loads(rep.to_json())
+    assert d["level"] == np.sqrt(rep.level_estimate.value) == rep.level
+    assert (d["model"], d["pixel_count"], d["seed"], rep.error) == ("gaussian", y.size, cfg.seed, "")
+
+    def no_quorum(kind, *args, **kwargs):
+        raise EstimationFailure(f"only 3 valid pixels for {kind} level (quorum 16)")
+
+    monkeypatch.setattr(pipeline, "estimate_level", no_quorum)
+    with pytest.raises(EstimationFailure) as exc:
+        blind_estimate([y], backend, cfg)
+    rep = exc.value.report
+    assert rep.error == "only 3 valid pixels for gaussian level (quorum 16)"
+    d = json.loads(rep.to_json())
+    assert d["level"] is None and d["model"] == "gaussian" and d["seed"] == cfg.seed
 
 
 def test_unknown_classification_aborts_with_report():

@@ -45,6 +45,11 @@ def test_prior_validation():
         GmmPrior((1.0,), (0.5,), (0.0,))
     with pytest.raises(DomainError):
         GmmPrior((0.5, 0.5), (0.3,), (0.02, 0.02))
+    nan, inf = float("nan"), float("inf")
+    for bad in (((nan, 1.0), (0.3, 0.9), (0.02, 0.02)), ((0.5, 0.5), (0.3, nan), (0.02, 0.02)),
+                ((0.5, 0.5), (0.3, 0.9), (nan, 0.02)), ((0.5, 0.5), (0.3, 0.9), (0.02, inf))):
+        with pytest.raises(DomainError, match="finite"):
+            GmmPrior(*bad)
 
 
 def test_prior_moments_and_roundtrip():
