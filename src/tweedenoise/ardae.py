@@ -19,11 +19,14 @@ part of the architecture, not a data-dependent normalization.
 An EMA shadow copy (theta' <- m*theta' + (1-m)*theta after every step) is
 what inference uses.  Optimization is Adam with (0.9, 0.999) and a single
 ten-fold learning-rate drop halfway through the epochs.
+
+The network is float32 (DTYPE): its weights, training buffers, checkpoints
+and inference.  The kernels compute in the dtype of the weights they are
+given, so ``gradient_check`` runs them on a float64 copy.
 """
 
 from __future__ import annotations
 
-import copy
 import json
 import zipfile
 from dataclasses import dataclass, field
@@ -41,8 +44,10 @@ ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
 
-CHECKPOINT_VERSION = 1
-PATCH_BLOCK = 1024  # pixels per block of eval_score; 7 % faster than 2048 at 128² on a 2 MiB-L2 Xeon
+DTYPE = np.float32
+KINDS = ("w", "b", "ew", "eb")  # checkpoint names of the MlpParams lists, in field order
+CHECKPOINT_VERSION = 2  # 1 held float64 arrays
+PATCH_BLOCK = 1024  # pixels per block of eval_score; float32 at 128²: ties 512, 5 % faster than 2048
 
 
 @dataclass
@@ -64,7 +69,7 @@ class ArdaeConfig:
             raise DomainError("need 0 < sigma_a_min <= sigma_a_max < inf")
         if not (0 <= self.ema_decay < 1):
             raise DomainError("ema_decay must lie in [0, 1)")
-        if self.epochs < 0 or self.batch_size < 1 or self.schedule_len < 2:
+        if self.epochs < 0 or self.batch_size < 2 or self.schedule_len < 2:
             raise DomainError("bad epochs/batch_size/schedule_len")
         if not 0 < self.lr < np.inf or self.patch_radius < 0 or min(self.hidden, default=1) < 1:
             raise DomainError("bad lr/patch_radius/hidden")
@@ -92,34 +97,30 @@ class MlpParams:
     def layer_sizes(self) -> list:
         return [self.weights[0].shape[0]] + [w.shape[1] for w in self.weights]
 
-    def copy(self) -> "MlpParams":
-        return MlpParams(
-            [w.copy() for w in self.weights],
-            [b.copy() for b in self.biases],
-            [w.copy() for w in self.ema_weights],
-            [b.copy() for b in self.ema_biases],
-        )
+    def copy(self, dtype=None) -> "MlpParams":
+        """A deep copy, cast to ``dtype`` if given."""
+        return MlpParams(*([a.astype(dtype or a.dtype) for a in group] for group in vars(self).values()))
 
 
 def init_mlp(layer_sizes, seed: int) -> MlpParams:
-    """Scaled-normal weights, zero biases; EMA copy starts equal."""
+    """Scaled-normal weights, zero biases, in DTYPE; EMA copy starts equal."""
     rng = np.random.default_rng(np.random.SeedSequence([int(seed), 10]))
     ws, bs = [], []
     for n_in, n_out in zip(layer_sizes[:-1], layer_sizes[1:]):
-        ws.append(rng.standard_normal((n_in, n_out)) / np.sqrt(n_in))
-        bs.append(np.zeros(n_out))
+        ws.append((rng.standard_normal((n_in, n_out)) / np.sqrt(n_in)).astype(DTYPE))
+        bs.append(np.zeros(n_out, DTYPE))
     return MlpParams(ws, bs, [w.copy() for w in ws], [b.copy() for b in bs])
 
 
 def mlp_forward(params: MlpParams, x: np.ndarray, use_ema: bool = False, acts=None):
-    """Forward pass; returns (output (N,), activations cache for backprop).
-    It fills ``acts``, one (N, width) buffer per layer from input to output,
-    if given; ``x`` may be ``acts[0]``."""
+    """Forward pass in the weights' dtype; returns (output (N,), activations
+    cache for backprop).  It fills ``acts``, one (N, width) buffer per layer
+    from input to output, if given; ``x`` may be ``acts[0]``."""
     ws = params.ema_weights if use_ema else params.weights
     bs = params.ema_biases if use_ema else params.biases
-    x = np.asarray(x, dtype=np.float64)
+    x = np.asarray(x, dtype=ws[0].dtype)
     if acts is None:
-        acts = [np.empty((x.shape[0], n)) for n in params.layer_sizes]
+        acts = [np.empty((x.shape[0], n), ws[0].dtype) for n in params.layer_sizes]
     h = np.subtract(x, IN_SHIFT, out=acts[0])
     h *= IN_GAIN
     for W, b, a in zip(ws[:-1], bs[:-1], acts[1:-1]):
@@ -154,21 +155,22 @@ def mlp_backward(params: MlpParams, acts, dout: np.ndarray, work=None):
 
 
 def _workspace(layer_sizes, n: int):
-    """Buffers for one n-row training step: the gathered batch; its probe
-    noise; each layer's activations, input and output included; and a
+    """DTYPE buffers for one n-row training step: the gathered batch; its
+    probe noise; each layer's activations, input and output included; and a
     (delta, tanh-derivative) pair per hidden layer."""
     return (
-        np.empty((n, layer_sizes[0])),
-        np.empty((n, layer_sizes[0])),
-        [np.empty((n, s)) for s in layer_sizes],
-        [(np.empty((n, s)), np.empty((n, s))) for s in layer_sizes[1:-1]],
+        np.empty((n, layer_sizes[0]), DTYPE),
+        np.empty((n, layer_sizes[0]), DTYPE),
+        [np.empty((n, s), DTYPE) for s in layer_sizes],
+        [(np.empty((n, s), DTYPE), np.empty((n, s), DTYPE)) for s in layer_sizes[1:-1]],
     )
 
 
 def ardae_loss_and_grad(params: MlpParams, batch: np.ndarray, sigma_a: float, seed: int,
                         _forward=None, work=None):
     """Loss mean (u_c + sigma_a R(y + sigma_a u))^2 over the batch and its
-    exact parameter gradients.
+    exact parameter gradients, computed in the dtype of the weights (DTYPE
+    without them).
 
     ``batch`` is (N, D) with the center pixel at column D // 2; u is drawn
     per element from the given seed.  ``_forward`` is a test hook replacing
@@ -177,18 +179,20 @@ def ardae_loss_and_grad(params: MlpParams, batch: np.ndarray, sigma_a: float, se
     """
     if sigma_a <= 0:
         raise DomainError(f"sigma_a must be positive, got {sigma_a}")
-    batch = np.asarray(batch, dtype=np.float64)
+    dtype = np.dtype(DTYPE if params is None else params.weights[0].dtype)
+    sigma_a = dtype.type(sigma_a)  # a float64 scalar would promote the float32 arrays under NEP 50
+    batch = np.asarray(batch, dtype=dtype)
     if batch.ndim != 2 or batch.shape[0] == 0:
         raise DomainError("batch must be a nonempty (N, D) array")
     n, d = batch.shape
     rng = np.random.default_rng(np.random.SeedSequence([int(seed), 11]))
-    u, acts, back = (np.empty((n, d)), None, None) if work is None else work
-    rng.standard_normal(out=u)
+    u, acts, back = (np.empty((n, d), dtype), None, None) if work is None else work
+    rng.standard_normal(out=u, dtype=dtype)
     u_c = u[:, d // 2]
     noisy = np.multiply(u, sigma_a, out=None if acts is None else acts[0])
     noisy += batch
     if _forward is not None:
-        r = np.asarray(_forward(noisy), dtype=np.float64)
+        r = np.asarray(_forward(noisy), dtype=dtype)
         acts = None
     else:
         r, acts = mlp_forward(params, noisy, acts=acts)
@@ -204,8 +208,10 @@ def ardae_loss_and_grad(params: MlpParams, batch: np.ndarray, sigma_a: float, se
 
 
 def _as_image(img, radius: int) -> np.ndarray:
-    """``img`` as a 2-D float64 array (1-D data as one row), shape-checked."""
-    img = np.asarray(img, dtype=np.float64)
+    """``img`` as a 2-D float array (1-D data as one row), shape-checked;
+    float32 stays float32, anything else becomes float64."""
+    img = np.asarray(img)
+    img = img.astype(np.result_type(img.dtype, np.float32), copy=False)
     if img.ndim == 1:
         if radius != 0:
             raise DomainError("1-D data only supports patch_radius = 0")
@@ -282,14 +288,15 @@ def train_ardae(config: ArdaeConfig, data) -> tuple:
 
     Each batch gathers its patches from the images, numbered image after
     image in raster order, into buffers that every full batch reuses.
+    The data, the batches and every step's arithmetic are DTYPE.
     """
     config.validate()
     arrays = [data] if isinstance(data, np.ndarray) else list(data)
-    if not arrays:
-        raise DomainError("no training data")
-    arrays = [_as_image(a, config.patch_radius) for a in arrays]
+    arrays = [_as_image(np.asarray(a, DTYPE), config.patch_radius) for a in arrays]
     starts = np.cumsum([0] + [a.size for a in arrays])
     n_rows = int(starts[-1])
+    if n_rows < 2:
+        raise DomainError(f"training needs at least 2 pixels, got {n_rows}")
     params = init_mlp(config.layer_sizes, config.seed)
     history = []
     if config.epochs == 0:
@@ -338,20 +345,22 @@ def train_ardae(config: ArdaeConfig, data) -> tuple:
 def eval_score(params: MlpParams, y: np.ndarray, use_ema: bool = True) -> ScoreField:
     """Score field over an image: the network applied per context patch.
 
-    Border pixels see reflect padding.  The pixels go through the network in
-    blocks of PATCH_BLOCK rows, the last one filled up with copies of the
-    last pixel, so that every block makes the same BLAS calls and each
-    pixel's score is a pure function of its own patch.  Pure; repeated calls
-    are bit-identical.
+    Border pixels see reflect padding.  The image is cast once to the
+    weights' dtype, and the pixels go through the network in blocks of
+    PATCH_BLOCK rows, the last one filled up with copies of the last pixel,
+    so that every block makes the same BLAS calls and each pixel's score is
+    a pure function of its own patch.  The scores are returned as float64.
+    Pure; repeated calls are bit-identical.
     """
-    y = np.asarray(y, dtype=np.float64)
+    dtype = params.weights[0].dtype
+    y = np.asarray(y, dtype=dtype)
     dim = params.layer_sizes[0]
     radius = (int(np.sqrt(dim)) - 1) // 2
     if (2 * radius + 1) ** 2 != dim:
         raise DomainError(f"non-square input layer of width {dim}")
     windows = _patch_windows(y, radius)
     scores = np.empty(y.size)
-    acts = [np.empty((PATCH_BLOCK, n)) for n in params.layer_sizes]
+    acts = [np.empty((PATCH_BLOCK, n), dtype) for n in params.layer_sizes]
     for lo in range(0, y.size, PATCH_BLOCK):
         patches = _gather_patches(windows, np.minimum(np.arange(lo, lo + PATCH_BLOCK), y.size - 1), acts[0])
         out, _ = mlp_forward(params, patches, use_ema, acts)
@@ -360,7 +369,7 @@ def eval_score(params: MlpParams, y: np.ndarray, use_ema: bool = True) -> ScoreF
 
 
 def save_checkpoint(path, params: MlpParams, config: ArdaeConfig) -> None:
-    """Versioned npz blob: JSON header + parameter arrays."""
+    """Versioned npz blob: JSON header + DTYPE parameter arrays."""
     header = {
         "version": CHECKPOINT_VERSION,
         "layer_sizes": params.layer_sizes,
@@ -368,39 +377,45 @@ def save_checkpoint(path, params: MlpParams, config: ArdaeConfig) -> None:
         "config": {k: (list(v) if isinstance(v, tuple) else v) for k, v in vars(config).items()},
     }
     arrays = {"header": np.frombuffer(json.dumps(header).encode(), dtype=np.uint8)}
-    for i, (w, b, ew, eb) in enumerate(
-        zip(params.weights, params.biases, params.ema_weights, params.ema_biases)
-    ):
-        arrays[f"w{i}"] = w
-        arrays[f"b{i}"] = b
-        arrays[f"ew{i}"] = ew
-        arrays[f"eb{i}"] = eb
+    for kind, group in zip(KINDS, vars(params).values()):
+        arrays.update({f"{kind}{i}": np.asarray(a, DTYPE) for i, a in enumerate(group)})
     with open(path, "wb") as fh:
         np.savez(fh, **arrays)
 
 
 def load_checkpoint(path):
-    """Returns (MlpParams, header dict); a file that is no checkpoint raises
-    :class:`ValidationError`."""
+    """Returns (MlpParams, header dict).  A file that is no checkpoint, or
+    whose arrays are missing or lack the DTYPE and the shapes of the
+    header's layer_sizes, raises :class:`ValidationError`."""
     try:
         with np.load(path) as z:
-            header = json.loads(bytes(z["header"]).decode())
+            header = dict(json.loads(bytes(z["header"]).decode()))  # a JSON object, or TypeError/ValueError
             arrays = dict(z)
     except (OSError, ValueError, KeyError, TypeError, zipfile.BadZipFile) as exc:
         raise ValidationError(f"{path} is not a checkpoint: {exc}") from exc
     if header.get("version") != CHECKPOINT_VERSION:
-        raise DomainError(f"unsupported checkpoint version {header.get('version')!r}")
-    n_layers = len(header["layer_sizes"]) - 1
-    params = MlpParams(*([arrays[f"{kind}{i}"] for i in range(n_layers)] for kind in ("w", "b", "ew", "eb")))
-    return params, header
+        raise DomainError(f"unsupported checkpoint version {header.get('version')!r}: "
+                          f"version {CHECKPOINT_VERSION} holds a float32 network; retrain it")
+    sizes = header.get("layer_sizes")
+    if not isinstance(sizes, list) or len(sizes) < 2:
+        raise ValidationError(f"{path}: bad layer_sizes {sizes!r}")
+    groups = [[arrays.get(f"{kind}{i}") for i in range(len(sizes) - 1)] for kind in KINDS]
+    for kind, group in zip(KINDS, groups):
+        for i, (a, m, n) in enumerate(zip(group, sizes, sizes[1:])):
+            shape = (m, n) if kind.endswith("w") else (n,)
+            if a is None or a.shape != shape or a.dtype != DTYPE:
+                raise ValidationError(f"{path}: {kind}{i} is missing or no float32 array of shape {shape}")
+    return MlpParams(*groups), header
 
 
 def gradient_check(params: MlpParams, batch: np.ndarray, sigma_a: float, seed: int,
                    h: float = 1e-5, n_probe: int = 40):
     """Worst relative gap between backprop and central finite differences.
 
-    Probes ``n_probe`` entries spread across every weight/bias array.
+    Probes ``n_probe`` entries spread across every weight/bias array of a
+    float64 copy of ``params``, so the caller's params are left untouched.
     """
+    params = params.copy(np.float64)
     loss0, grads = ardae_loss_and_grad(params, batch, sigma_a, seed)
     gws, gbs = grads
     worst = 0.0

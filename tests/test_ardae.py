@@ -20,6 +20,7 @@ from tweedenoise import (
     save_checkpoint,
     train_ardae,
 )
+from tweedenoise import ardae
 from tweedenoise.ardae import PATCH_BLOCK, _adam_step
 
 TINY = ArdaeConfig(
@@ -29,8 +30,8 @@ TINY = ArdaeConfig(
 
 
 def training_noise(seed, n, d):
-    # the exact u stream ardae_loss_and_grad draws internally
-    return np.random.default_rng(np.random.SeedSequence([seed, 11])).standard_normal((n, d))
+    # the exact u stream ardae_loss_and_grad draws internally: float32, the network's dtype
+    return np.random.default_rng(np.random.SeedSequence([seed, 11])).standard_normal((n, d), dtype=np.float32)
 
 
 def test_config_validation():
@@ -38,6 +39,7 @@ def test_config_validation():
         dict(sigma_a_max=0.01, sigma_a_min=0.1),
         dict(ema_decay=1.0),
         dict(epochs=-1),
+        dict(batch_size=1),  # a one-row batch is skipped, so training would never step
         dict(schedule_len=1),
         dict(lr=0.0),
         dict(lr=float("nan")),
@@ -55,6 +57,7 @@ def test_config_validation():
 def test_init_shapes_and_determinism():
     p = init_mlp([9, 16, 1], seed=5)
     assert [w.shape for w in p.weights] == [(9, 16), (16, 1)]
+    assert {a.dtype for a in p.weights + p.biases + p.ema_weights + p.ema_biases} == {np.dtype(np.float32)}
     assert all(np.all(b == 0) for b in p.biases)
     for w, ew in zip(p.weights, p.ema_weights):
         np.testing.assert_array_equal(w, ew)
@@ -102,8 +105,13 @@ def test_backprop_matches_finite_differences():
     batch = rng.uniform(0.1, 1.0, (32, 9))
     for seed in (0, 1, 2):
         params = init_mlp([9, 12, 1], seed)
+        before = params.copy()
         worst = gradient_check(params, batch, sigma_a=0.05, seed=seed)
         assert worst <= 1e-4, (seed, worst)
+        # the check perturbs a float64 copy: the float32 params come back untouched
+        for a, b in zip(params.weights + params.biases, before.weights + before.biases):
+            assert a.dtype == np.float32
+            np.testing.assert_array_equal(a, b)
 
 
 # ---------------------------------------------------------------------------
@@ -287,6 +295,44 @@ def test_divergence_carries_last_good_snapshot():
 def test_train_rejects_empty_data():
     with pytest.raises(DomainError):
         train_ardae(TINY, [])
+    for one_pixel in (np.ones(1), [np.ones((1, 1))]):  # no batch of 2 rows: no step could run
+        with pytest.raises(DomainError, match="2 pixels"):
+            train_ardae(TINY, one_pixel)
+
+
+def test_one_training_step_stays_float32(monkeypatch):
+    # geometric_schedule yields np.float64 sigma_a; under NEP 50 an uncast one would
+    # promote the residual, and with it dout, the deltas and the gradients, to float64
+    seen = {}
+
+    def spy(name):
+        fn = getattr(ardae, name)
+
+        def wrapped(*args, **kwargs):
+            out = fn(*args, **kwargs)
+            seen.setdefault(name, []).append((args, out))
+            return out
+
+        monkeypatch.setattr(ardae, name, wrapped)
+
+    for name in ("mlp_forward", "mlp_backward", "_adam_step", "ema_update"):
+        spy(name)
+    assert type(geometric_schedule(0.05, 0.01, 4)[1]) is np.float64
+    cfg = ArdaeConfig(**{**vars(TINY), "epochs": 1, "batch_size": 256, "patch_radius": 1, "hidden": (8, 8)})
+    params, _ = train_ardae(cfg, [np.random.default_rng(20).uniform(0.1, 1.0, (16, 16))])
+    assert all(len(calls) == 1 for calls in seen.values()) and len(seen) == 4  # one step
+    [((_, x), (out, acts))] = seen["mlp_forward"]
+    [((_, back_acts, dout, work), (gws, gbs))] = seen["mlp_backward"]
+    [((_, grads, state, _, _), _)] = seen["_adam_step"]
+    arrays = {
+        "input": [x], "output": [out], "activation": acts + back_acts, "dout": [dout],
+        "delta": [a for pair in work for a in pair], "weight gradient": gws, "bias gradient": gbs,
+        "adam moment": [a for key in ("w", "b") for pair in state[key] for a in pair],
+        "parameter": params.weights + params.biases, "ema": params.ema_weights + params.ema_biases,
+    }
+    for what, group in arrays.items():
+        assert group and all(a.dtype == np.float32 for a in group), (what, [a.dtype for a in group])
+    assert eval_score(params, np.full((5, 5), 0.5)).values.dtype == np.float64
 
 
 # ---------------------------------------------------------------------------
@@ -357,6 +403,18 @@ def test_eval_memory_is_bounded_by_the_block():
     assert peak <= 64 * 2**20, peak / 2**20
 
 
+@pytest.mark.parametrize("radius, shape", [(4, (128, 128)), (0, (2001,))], ids=["128^2", "1d-grid"])
+def test_eval_score_is_within_the_declared_bound_of_float64(radius, shape):
+    # the declared numeric change: float32 inference differs from a float64 forward pass
+    # of the same weights by at most 2e-6 * (1 + |s|), 16 float32 epsilons; measured up to 5e-7
+    y = np.random.default_rng(21).uniform(0.1, 1.0, shape) if radius else np.linspace(0.05, 1.0, 2001)
+    p = full_size_net(radius, 22)
+    ref, _ = mlp_forward(p.copy(np.float64), extract_patches(y, radius), use_ema=True)
+    s = eval_score(p, y).values
+    assert s.dtype == np.float64
+    assert np.max(np.abs(s - ref.reshape(shape)) / (1 + np.abs(ref.reshape(shape)))) <= 2e-6
+
+
 def test_eval_score_rejects_nonsquare_input_layer():
     p = init_mlp([8, 4, 1], 0)
     with pytest.raises(DomainError):
@@ -371,10 +429,11 @@ def test_checkpoint_roundtrip(tmp_path):
     path = tmp_path / "model.npz"
     save_checkpoint(path, p, cfg)
     q, header = load_checkpoint(path)
-    assert header["version"] == 1
+    assert header["version"] == 2  # version 1 held float64 arrays
     assert header["layer_sizes"] == [9, 8, 1]
     assert header["config"]["hidden"] == [8]
     for a, b in zip(p.weights + p.ema_weights, q.weights + q.ema_weights):
+        assert b.dtype == np.float32
         np.testing.assert_array_equal(a, b)
 
 
@@ -386,8 +445,9 @@ def test_checkpoint_version_gate(tmp_path):
     with np.load(path) as z:
         blob = {k: z[k] for k in z.files}
     header = json.loads(bytes(blob["header"]).decode())
-    header["version"] = 99
-    blob["header"] = np.frombuffer(json.dumps(header).encode(), dtype=np.uint8)
-    np.savez(path, **blob)
-    with pytest.raises(DomainError, match="version"):
-        load_checkpoint(path)
+    for version in (99, 1):
+        header["version"] = version
+        blob["header"] = np.frombuffer(json.dumps(header).encode(), dtype=np.uint8)
+        np.savez(path, **blob)
+        with pytest.raises(DomainError, match="version.*retrain"):
+            load_checkpoint(path)

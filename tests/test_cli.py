@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 
 from tweedenoise import (
     EPS_Y,
+    ArdaeConfig,
     DenoiseCfg,
     EstimationFailure,
     GmmPrior,
@@ -29,6 +30,8 @@ from tweedenoise import (
     load_checkpoint,
     load_tensor,
     psnr,
+    save_checkpoint,
+    save_tensor,
 )
 from tweedenoise import cli, pipeline
 from tweedenoise.cli import main
@@ -181,9 +184,31 @@ def test_config_error_exit_codes(tmp_path):
     assert run("estimate", str(tmp_path / "base.json")) == 2
 
 
+def edit_checkpoint(path, header=(), dtype=np.float32, **arrays):
+    """A [1, 4, 1] checkpoint with its header keys updated, its arrays cast
+    to ``dtype`` and then replaced; an array given as None is left out."""
+    save_checkpoint(path, init_mlp([1, 4, 1], 0), ArdaeConfig(patch_radius=0, hidden=(4,)))
+    with np.load(path) as z:
+        blob = {k: z[k].astype(dtype) for k in z.files if k != "header"}
+        head = dict(json.loads(bytes(z["header"]).decode()), **dict(header))
+    blob.update(arrays, header=np.frombuffer(json.dumps(head).encode(), dtype=np.uint8))
+    np.savez(path, **{k: v for k, v in blob.items() if v is not None})
+
+
 @pytest.mark.parametrize(
-    "write", [lambda p: p.write_bytes(b"not a checkpoint"), lambda p: np.savez(p, w0=np.zeros(3))],
-    ids=["text", "zip-without-header"],
+    "write",
+    [
+        lambda p: p.write_bytes(b"not a checkpoint"),
+        lambda p: np.savez(p, w0=np.zeros(3)),
+        lambda p: np.savez(p, header=np.frombuffer(b"[1]", dtype=np.uint8)),
+        lambda p: edit_checkpoint(p, ew1=None),
+        lambda p: edit_checkpoint(p, b0=np.zeros(5, np.float32)),
+        lambda p: edit_checkpoint(p, w1=np.zeros((4, 1))),
+        lambda p: edit_checkpoint(p, {"layer_sizes": None}),
+        lambda p: edit_checkpoint(p, {"version": 1}, np.float64),  # the float64 network version 1 stored
+    ],
+    ids=["text", "zip-without-header", "header-not-an-object", "missing-array", "bad-shape", "float64-array",
+         "no-layer-sizes", "version-1"],
 )
 def test_non_checkpoint_backend_file_exits_2(synth_run, write):
     out, _, tmp_path = synth_run
@@ -562,6 +587,37 @@ def test_eval_loads_the_checkpoint_once(tmp_path, monkeypatch):
     assert len(loads) == 1
 
 
+def test_ardae_fixture_keeps_its_blind_class(tmp_path):
+    # the three-epoch network is undertrained and calls this Gaussian data Poisson, float64 and
+    # float32 alike: its rho_hat (0.99 to 1.05) differs between the two by at most 0.005
+    out = tmp_path / "t"
+    cfg = train_config(out)
+    cfg_path = write_config(tmp_path, cfg)
+    assert run("synth", cfg_path) == 0
+    assert run("train", cfg_path) == 0
+    cfg["score_backend"] = f"ardae:{out / 'checkpoint.npz'}"
+    for pooled in (True, False):
+        cfg["estimation"] = {"pooled": pooled}
+        assert run("estimate", write_config(tmp_path, cfg, "estimate.json")) == 0
+        _, rows = read_csv(out / "estimates.csv")
+        assert [r[2] for r in rows] == ["poisson", "poisson"], pooled
+
+
+def test_train_without_a_two_row_batch_exits_2(tmp_path):
+    # without it every step is skipped: nan losses and the untouched initial weights
+    out = tmp_path / "t"
+    cfg = train_config(out)
+    assert run("synth", write_config(tmp_path, cfg)) == 0
+    cfg["ardae"]["batch_size"] = 1
+    assert run("train", write_config(tmp_path, cfg)) == 2
+    cfg = train_config(out)
+    cfg["synth"]["count"] = 1
+    assert run("synth", write_config(tmp_path, cfg)) == 0
+    save_tensor(out / "noisy_000.f32", np.full((1, 1), 0.5, np.float32))  # one training pixel
+    assert run("train", write_config(tmp_path, cfg)) == 2
+    assert not (out / "checkpoint.npz").exists() and not (out / "loss.csv").exists()
+
+
 def test_train_zero_epochs_equals_init(tmp_path):
     out = tmp_path / "t0"
     cfg = train_config(out)
@@ -583,7 +639,5 @@ def test_train_divergence_exit_code(tmp_path):
     assert run("synth", cfg_path) == 0
     poisoned = load_tensor(out / "noisy_000.f32")
     poisoned[10, 10] = np.nan
-    from tweedenoise import save_tensor
-
     save_tensor(out / "noisy_000.f32", poisoned)
     assert run("train", cfg_path) == 4
