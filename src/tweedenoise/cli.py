@@ -292,9 +292,10 @@ def _blind_images(cfg, out: Path, images, backend):
 
     A pooled run estimates once over all images with seed ``seed``; a
     per-image run estimates each image alone with seed ``seed + index``.  A
-    group's noisy tensors are loaded when the loop reaches it, and the loop
-    drops them and their scores before it scores the next group; callers
-    drop what they were handed too.
+    group's noisy tensors are loaded when the loop reaches it and replaced by
+    the probe's y1 (views of the pooled copy) once estimated; the loop drops
+    them and their scores before it scores the next group, and callers drop
+    what they were handed too.
     """
     dn = DenoiseCfg(seed=cfg["seed"], **cfg["estimation"])
     if cfg["pooled"]:
@@ -306,6 +307,7 @@ def _blind_images(cfg, out: Path, images, backend):
         try:
             me, le, pairs, f1 = blind_estimate(ys, backend, group_cfg)
             report = DenoiseReport(f1[0].backend, me, le, y1_scores=f1, seed=group_cfg.seed)
+            ys = [p.y1 for p in pairs]  # one copy of the pixels: frees the loaded tensors
             del pairs, f1  # frees y2 and u before the next group is scored
         except EstimationFailure as exc:
             report = exc.report

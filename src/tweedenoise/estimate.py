@@ -26,6 +26,11 @@ Level.  Given the classified family, per pixel
 with pixels excluded when the relevant denominator magnitude is below
 1e-12 or the radicand is negative, and the median of the survivors
 reported.
+
+Both estimators work in blocks of BLOCK pixels and gather the survivors into
+one flat array, so each mean and order statistic is the whole image's, bit
+for bit, and memory beyond the probe data is one pixel-sized buffer and a
+few blocks.
 """
 
 from __future__ import annotations
@@ -44,6 +49,7 @@ DEFAULT_MASK_EPS = 1e-5
 DEFAULT_RHO_ASSUMED = 2.2
 LEVEL_DENOM_FLOOR = 1e-12
 LEVEL_QUORUM = 16
+BLOCK = 1 << 15  # pixels per block of the estimators' elementwise work
 
 UNKNOWN = "unknown"
 
@@ -85,6 +91,12 @@ def perturb(y1: np.ndarray, eps: float, seed: int) -> PerturbationPair:
     return PerturbationPair(y1, y2, u, float(eps))
 
 
+def _blocks(*arrays):
+    """The arrays' aligned flat blocks of BLOCK pixels."""
+    flat = [np.ravel(x) for x in arrays]
+    return ([x[lo:lo + BLOCK] for x in flat] for lo in range(0, flat[0].size, BLOCK))
+
+
 def estimate_rho(
     pair: PerturbationPair,
     s1: ScoreField,
@@ -92,41 +104,41 @@ def estimate_rho(
     mask_eps: float = DEFAULT_MASK_EPS,
     rho_assumed: float = DEFAULT_RHO_ASSUMED,
 ) -> ModelEstimate:
-    y1, y2 = pair.y1, pair.y2
-    v1, v2 = s1.values, s2.values
-    a = np.log(y2 / y1)
-    b = 2.0 * y1 * v1
-    w = 2.0 * y2 * v2 - 2.0 * y1 * v1
-    with np.errstate(all="ignore"):
-        ww = w / (rho_assumed + b)
-    mask = np.isfinite(ww) & (np.abs(ww) <= mask_eps)
-    if not mask.any():
-        raise EstimationFailure(
-            f"empty mask at mask_eps={mask_eps}; increase mask_eps or the image size"
-        )
-    wbar = float(np.nanmean(w[mask]))
-    bbar = float(np.nanmean(b[mask]))
-    # a*(rho - 2)*(rho + bbar) + wbar = 0, expanded to a standard quadratic
-    first = a * (bbar - 2.0)
-    with np.errstate(all="ignore"):
-        disc = first**2 - 4.0 * a * (-2.0 * a * bbar + wbar)
-        root = np.sqrt(disc)
-        p1 = (-first + root) / (2.0 * a)
-        p2 = (-first - root) / (2.0 * a)
-    f1, f2 = np.isfinite(p1), np.isfinite(p2)
-    n_nonfinite = int(np.count_nonzero(~f1) + np.count_nonzero(~f2))
-    if not (f1.any() or f2.any()):
+    n, ws, bs = pair.y1.size, [], []
+    for y1, y2, v1, v2 in _blocks(pair.y1, pair.y2, s1.values, s2.values):
+        b = 2.0 * y1 * v1
+        w = 2.0 * y2 * v2 - b
+        with np.errstate(all="ignore"):
+            ww = w / (rho_assumed + b)
+        mask = np.isfinite(ww) & (np.abs(ww) <= mask_eps)
+        ws.append(w[mask])
+        bs.append(b[mask])
+    n_masked = sum(w.size for w in ws)
+    if not n_masked:
+        raise EstimationFailure(f"empty mask at mask_eps={mask_eps}; increase mask_eps or the image size")
+    wbar, bbar = (float(np.nanmean(np.concatenate(x))) for x in (ws, bs))
+    del ws, bs
+    # a*(rho - 2)*(rho + bbar) + wbar = 0, expanded to a standard quadratic;
+    # each sign's finite roots are gathered into one buffer and averaged there
+    buf, roots, n_nonfinite = np.empty(n), [], 0
+    for sign in (1.0, -1.0):
+        k = 0
+        for y1, y2 in _blocks(pair.y1, pair.y2):
+            a = np.log(y2 / y1)
+            first = a * (bbar - 2.0)
+            with np.errstate(all="ignore"):
+                disc = first**2 - 4.0 * a * (-2.0 * a * bbar + wbar)
+                p = (-first + sign * np.sqrt(disc)) / (2.0 * a)
+            p = p[np.isfinite(p)]
+            buf[k:k + p.size] = p
+            k += p.size
+        n_nonfinite += n - k
+        roots.append(float(buf[:k].mean()) if k else float("nan"))
+    if n_nonfinite == 2 * n:
         raise EstimationFailure("all quadratic roots non-finite (negative discriminant everywhere?)")
-    r1 = float(p1[f1].mean()) if f1.any() else float("nan")
-    r2 = float(p2[f2].mean()) if f2.any() else float("nan")
-    rho_hat = max(np.nanmax([r1, r2]), 0.0)
-    return ModelEstimate(
-        rho_hat=float(rho_hat),
-        classified=classify_model(rho_hat),
-        mask_fraction=float(mask.mean()),
-        roots=(r1, r2),
-        n_nonfinite=n_nonfinite,
-    )
+    rho_hat = max(np.nanmax(roots), 0.0)
+    return ModelEstimate(rho_hat=float(rho_hat), classified=classify_model(rho_hat), mask_fraction=n_masked / n,
+                         roots=tuple(roots), n_nonfinite=n_nonfinite)
 
 
 def classify_model(rho_hat: float) -> str:
@@ -150,31 +162,31 @@ def estimate_level(
     quorum: int = LEVEL_QUORUM,
 ) -> LevelEstimate:
     kind = ModelKind(kind)
-    y1, y2 = pair.y1, pair.y2
-    ds = s2.values - s1.values
-    eu = pair.eps * pair.u
-    with np.errstate(all="ignore"):
-        if kind is ModelKind.GAUSSIAN:
-            est = -eu / ds
-            keep = np.abs(ds) >= LEVEL_DENOM_FLOOR
-        elif kind is ModelKind.POISSON:
-            c = eu / ds
-            radicand = y1**2 - 2.0 * c
-            keep = (np.abs(ds) >= LEVEL_DENOM_FLOOR) & (radicand >= 0)
-            est = -y1 + np.sqrt(np.where(keep, radicand, 0.0))
-        elif kind is ModelKind.GAMMA:
-            dinv = 1.0 / y2 - 1.0 / y1
-            est = 1.0 + ds / dinv
-            keep = np.abs(dinv) >= LEVEL_DENOM_FLOOR
-        else:
-            raise DomainError(f"no level estimator for {kind}")
-    keep &= np.isfinite(est)
-    n = int(np.count_nonzero(keep))
+    if kind not in (ModelKind.GAUSSIAN, ModelKind.POISSON, ModelKind.GAMMA):
+        raise DomainError(f"no level estimator for {kind}")
+    vals, n = np.empty(pair.y1.size), 0  # the kept per-pixel estimates, gathered
+    for y1, y2, u, v1, v2 in _blocks(pair.y1, pair.y2, pair.u, s1.values, s2.values):
+        ds, eu = v2 - v1, pair.eps * u
+        with np.errstate(all="ignore"):
+            if kind is ModelKind.GAUSSIAN:
+                est = -eu / ds
+                keep = np.abs(ds) >= LEVEL_DENOM_FLOOR
+            elif kind is ModelKind.POISSON:
+                radicand = y1**2 - 2.0 * (eu / ds)
+                keep = (np.abs(ds) >= LEVEL_DENOM_FLOOR) & (radicand >= 0)
+                est = -y1 + np.sqrt(np.where(keep, radicand, 0.0))
+            else:
+                dinv = 1.0 / y2 - 1.0 / y1
+                est = 1.0 + ds / dinv
+                keep = np.abs(dinv) >= LEVEL_DENOM_FLOOR
+        est = est[keep & np.isfinite(est)]
+        vals[n:n + est.size] = est
+        n += est.size
     if n < quorum:
         raise EstimationFailure(f"only {n} valid pixels for {kind.value} level (quorum {quorum})")
-    vals = est[keep]
-    value = float(np.median(vals))
+    vals = vals[:n]
+    value = float(np.median(vals, overwrite_input=True))
     if not np.isfinite(value) or value <= 0:
         raise EstimationFailure(f"degenerate {kind.value} level estimate {value!r}")
-    q75, q25 = np.percentile(vals, [75, 25])
+    q75, q25 = np.percentile(vals, [75, 25], overwrite_input=True)
     return LevelEstimate(kind=kind.value, value=value, pixel_count=n, iqr=float(q75 - q25))

@@ -81,36 +81,42 @@ class DenoiseReport:
         return json.dumps(keys, sort_keys=True)
 
 
-def _pool(pairs, fields1, fields2):
-    """Concatenate per-image probe data into one flat pseudo-image."""
-    y1 = np.concatenate([p.y1.ravel() for p in pairs])
-    y2 = np.concatenate([p.y2.ravel() for p in pairs])
-    u = np.concatenate([p.u.ravel() for p in pairs])
-    eps = pairs[0].eps
-    s1 = ScoreField(np.concatenate([s.values.ravel() for s in fields1]), fields1[0].backend)
-    s2 = ScoreField(np.concatenate([s.values.ravel() for s in fields2]), fields2[0].backend)
-    return PerturbationPair(y1, y2, u, eps), s1, s2
-
-
 def blind_estimate(ys, score_backend, cfg: DenoiseCfg):
     """Shared blind-estimation front end over one or many images.
 
     Returns (model_estimate, level_estimate, pairs, s1_list).  Estimation
-    statistics are pooled across all images in ``ys``; the per-image pairs
-    and y1-scores are returned so callers can apply the formula without
-    re-evaluating the backend.  Raises :class:`EstimationFailure` on an
-    empty mask, an unknown classification or a failed level estimate; its
-    report carries the y1 scores, the probe seed, the message as ``error``
-    and the model estimate when there is one.
+    statistics are pooled across all images in ``ys``, whose probe data is
+    held once, in five arrays (y1, y2, u, s1, s2); the per-image pairs and
+    y1-scores returned are views into them, so callers can apply the formula
+    without re-evaluating the backend.  One image keeps its own arrays.
+    Raises :class:`ValidationError` for no images and :class:`EstimationFailure`
+    on an empty mask, an unknown classification or a failed level estimate;
+    its report carries the y1 scores, the probe seed, the message as
+    ``error`` and the model estimate when there is one.
     """
     cfg.validate()
-    pairs, f1, f2 = [], [], []
+    ys = list(ys)
+    if not ys:
+        raise ValidationError("no images to estimate")
+    pool = [np.empty(sum(np.size(y) for y in ys)) for _ in range(5)] if len(ys) > 1 else None
+    start, pairs, f1 = 0, [], []
+
+    def put(k, x):  # with several images, x copied into its slice of pooled array k
+        if pool:
+            pool[k][start:start + x.size] = x.ravel()
+        return pool[k][start:start + x.size].reshape(x.shape) if pool else x
+
     for i, y in enumerate(ys):
-        pair = perturb(np.asarray(y, dtype=np.float64), cfg.eps, cfg.seed + i)
+        pair = perturb(y, cfg.eps, cfg.seed + i)
+        pair = PerturbationPair(put(0, pair.y1), put(1, pair.y2), put(2, pair.u), pair.eps)
+        at1, at2 = score_backend(pair.y1), score_backend(pair.y2)
         pairs.append(pair)
-        f1.append(score_backend(pair.y1))
-        f2.append(score_backend(pair.y2))
-    pooled_pair, s1, s2 = _pool(pairs, f1, f2)
+        f1.append(ScoreField(put(3, at1.values), at1.backend))
+        v2 = put(4, at2.values)
+        start += pair.y1.size
+    pool = pool or [pairs[0].y1, pairs[0].y2, pairs[0].u, f1[0].values, v2]
+    pooled_pair = PerturbationPair(*pool[:3], pairs[0].eps)
+    s1, s2 = ScoreField(pool[3], f1[0].backend), ScoreField(pool[4], f1[0].backend)
     report = DenoiseReport(backend=s1.backend, y1_scores=f1, seed=cfg.seed)
     try:
         me = estimate_rho(pooled_pair, s1, s2, mask_eps=cfg.mask_eps, rho_assumed=cfg.rho_assumed)

@@ -396,6 +396,31 @@ def test_a_finished_group_is_freed_before_the_next_is_scored(tmp_path, monkeypat
     assert len(fields) == 2 * cfg["synth"]["count"]
 
 
+@pytest.mark.parametrize("pooled", [True, False], ids=["pooled", "per-image"])
+def test_blind_images_hold_one_copy_of_the_pixels(synth_run, monkeypatch, pooled):
+    out, _, tmp_path = synth_run
+    cfg = base_config(out)
+    cfg["estimation"] = {"pooled": pooled}
+    cfg = cli.parse_config(write_config(tmp_path, cfg, "one_copy.json"))
+    loaded, real = [], cli.load_tensor
+
+    def tracking(path):
+        t = real(path)
+        loaded.append(weakref.ref(t))
+        return t
+
+    monkeypatch.setattr(cli, "load_tensor", tracking)
+    ys = []
+    for im, y, _, _ in cli._blind_images(cfg, out, cli._load_manifest(out)["images"], cli.make_backend(cfg)):
+        if pooled:  # y is a view into the pooled y1, and the loaded tensors are gone
+            assert all(ref() is None for ref in loaded) and y.base is not None
+        else:  # the probe's y1 is the loaded tensor itself
+            assert np.shares_memory(y, loaded[-1]())
+        np.testing.assert_array_equal(y, real(out / im["noisy"]))
+        ys.append(y)
+    assert len(ys) == 4 and (not pooled or all(y.base is ys[0].base for y in ys))
+
+
 def test_estimate_failure_exit_code(synth_run):
     out, _, tmp_path = synth_run
     cfg = base_config(out)

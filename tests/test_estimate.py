@@ -7,6 +7,8 @@ from tweedenoise import (
     DomainError,
     EstimationFailure,
     GmmPrior,
+    LevelEstimate,
+    ModelEstimate,
     ModelKind,
     NoiseModel,
     PerturbationPair,
@@ -21,8 +23,11 @@ from tweedenoise import (
     perturb,
     sample_noisy,
 )
+from tweedenoise import estimate as estimate_module
+from tweedenoise.estimate import LEVEL_DENOM_FLOOR
 
 P2 = GmmPrior((0.5, 0.5), (0.3, 0.7), (0.02, 0.02))
+PAL = GmmPrior((0.2, 0.8), (0.3, 0.9), (0.005, 0.005))
 P58 = GmmPrior((0.5, 0.5), (0.5, 0.8), (0.02, 0.02))
 SIG = 25.0 / 255.0
 
@@ -266,3 +271,152 @@ def test_level_rejects_unknown_kind():
     s = ScoreField(np.ones(64))
     with pytest.raises((DomainError, ValueError)):
         estimate_level("cauchy", pair, s, s)
+
+
+# ---------------------------------------------------------------------------
+# blocked estimators against the whole-array formulas
+
+
+def whole_array_rho(
+    pair: PerturbationPair,
+    s1: ScoreField,
+    s2: ScoreField,
+    mask_eps: float = 1e-5,
+    rho_assumed: float = 2.2,
+) -> ModelEstimate:
+    """``estimate_rho`` over whole arrays at once: the formulas before blocking, verbatim."""
+    y1, y2 = pair.y1, pair.y2
+    v1, v2 = s1.values, s2.values
+    a = np.log(y2 / y1)
+    b = 2.0 * y1 * v1
+    w = 2.0 * y2 * v2 - 2.0 * y1 * v1
+    with np.errstate(all="ignore"):
+        ww = w / (rho_assumed + b)
+    mask = np.isfinite(ww) & (np.abs(ww) <= mask_eps)
+    if not mask.any():
+        raise EstimationFailure(
+            f"empty mask at mask_eps={mask_eps}; increase mask_eps or the image size"
+        )
+    wbar = float(np.nanmean(w[mask]))
+    bbar = float(np.nanmean(b[mask]))
+    # a*(rho - 2)*(rho + bbar) + wbar = 0, expanded to a standard quadratic
+    first = a * (bbar - 2.0)
+    with np.errstate(all="ignore"):
+        disc = first**2 - 4.0 * a * (-2.0 * a * bbar + wbar)
+        root = np.sqrt(disc)
+        p1 = (-first + root) / (2.0 * a)
+        p2 = (-first - root) / (2.0 * a)
+    f1, f2 = np.isfinite(p1), np.isfinite(p2)
+    n_nonfinite = int(np.count_nonzero(~f1) + np.count_nonzero(~f2))
+    if not (f1.any() or f2.any()):
+        raise EstimationFailure("all quadratic roots non-finite (negative discriminant everywhere?)")
+    r1 = float(p1[f1].mean()) if f1.any() else float("nan")
+    r2 = float(p2[f2].mean()) if f2.any() else float("nan")
+    rho_hat = max(np.nanmax([r1, r2]), 0.0)
+    return ModelEstimate(
+        rho_hat=float(rho_hat),
+        classified=classify_model(rho_hat),
+        mask_fraction=float(mask.mean()),
+        roots=(r1, r2),
+        n_nonfinite=n_nonfinite,
+    )
+
+
+def whole_array_level(
+    kind,
+    pair: PerturbationPair,
+    s1: ScoreField,
+    s2: ScoreField,
+    quorum: int = 16,
+) -> LevelEstimate:
+    """``estimate_level`` over whole arrays at once: the formulas before blocking, verbatim."""
+    kind = ModelKind(kind)
+    y1, y2 = pair.y1, pair.y2
+    ds = s2.values - s1.values
+    eu = pair.eps * pair.u
+    with np.errstate(all="ignore"):
+        if kind is ModelKind.GAUSSIAN:
+            est = -eu / ds
+            keep = np.abs(ds) >= LEVEL_DENOM_FLOOR
+        elif kind is ModelKind.POISSON:
+            c = eu / ds
+            radicand = y1**2 - 2.0 * c
+            keep = (np.abs(ds) >= LEVEL_DENOM_FLOOR) & (radicand >= 0)
+            est = -y1 + np.sqrt(np.where(keep, radicand, 0.0))
+        elif kind is ModelKind.GAMMA:
+            dinv = 1.0 / y2 - 1.0 / y1
+            est = 1.0 + ds / dinv
+            keep = np.abs(dinv) >= LEVEL_DENOM_FLOOR
+        else:
+            raise DomainError(f"no level estimator for {kind}")
+    keep &= np.isfinite(est)
+    n = int(np.count_nonzero(keep))
+    if n < quorum:
+        raise EstimationFailure(f"only {n} valid pixels for {kind.value} level (quorum {quorum})")
+    vals = est[keep]
+    value = float(np.median(vals))
+    if not np.isfinite(value) or value <= 0:
+        raise EstimationFailure(f"degenerate {kind.value} level estimate {value!r}")
+    q75, q25 = np.percentile(vals, [75, 25])
+    return LevelEstimate(kind=kind.value, value=value, pixel_count=n, iqr=float(q75 - q25))
+
+
+def same_outcome(blocked, whole, *args, **kw):
+    """The blocked and the whole-array result, or failure type and message, which must be equal."""
+    got = []
+    for f in (blocked, whole):
+        try:
+            got.append(f(*args, **kw))
+        except (EstimationFailure, DomainError) as exc:
+            got.append((type(exc).__name__, str(exc)))
+    assert got[0] == got[1]
+    return got[0]
+
+
+def pooled_gaussian_probe(n_images=5, size=128):
+    """Gaussian palette images, probed and scored one by one, then pooled."""
+    model = NoiseModel(ModelKind.GAUSSIAN, SIG**2)
+    backend = lambda v: analytic_score_gaussian(v, PAL, SIG)
+    parts = [noisy_pair(PAL, model, size, (i, 100 + i, 200 + i), backend) for i in range(n_images)]
+    y1, y2, u, v1, v2 = (np.concatenate([get(part).ravel() for part in parts]) for get in (
+        lambda p: p[0].y1, lambda p: p[0].y2, lambda p: p[0].u, lambda p: p[1].values, lambda p: p[2].values))
+    return PerturbationPair(y1, y2, u, 1e-5), ScoreField(v1), ScoreField(v2)
+
+
+def hostile_probe(n=70001):
+    """Random scores: negative discriminants and radicands, and ds == 0 at every 97th pixel."""
+    rng = np.random.default_rng(31)
+    pair = perturb(rng.uniform(EPS_Y, 1.0, n), 1e-3, seed=32)
+    v1 = rng.normal(0.0, 3.0, n)
+    v2 = v1 + rng.normal(0.0, 1e-2, n)
+    v2[::97] = v1[::97]
+    return pair, ScoreField(v1), ScoreField(v2)
+
+
+@pytest.mark.parametrize("block", [None, 1000], ids=["default-block", "block-1000"])
+def test_blocked_estimators_match_whole_array_bitwise(monkeypatch, block):
+    if block is not None:
+        monkeypatch.setattr(estimate_module, "BLOCK", block)
+    kinds = ("gaussian", "poisson", "gamma", "invgauss")
+    results = []
+    for (pair, s1, s2), mask_eps in [(pooled_gaussian_probe(), 1e-5), (hostile_probe(), 0.1)]:
+        n = pair.y1.size
+        assert n > 2 * estimate_module.BLOCK and n % estimate_module.BLOCK  # several blocks, a ragged last one
+        me = same_outcome(estimate_rho, whole_array_rho, pair, s1, s2, mask_eps=mask_eps)
+        assert isinstance(me, ModelEstimate) and me.n_nonfinite > 0  # some roots are dropped
+        assert np.isfinite(me.roots).all()  # so == compares both roots
+        results.append([n] + [same_outcome(estimate_level, whole_array_level, k, pair, s1, s2) for k in kinds])
+    (n, gauss, poisson, gamma, invgauss), (m, h_gauss, h_poisson, h_gamma, _) = results
+    assert all(isinstance(le, LevelEstimate) for le in (gauss, poisson, gamma, h_poisson, h_gamma))
+    assert poisson.pixel_count < gauss.pixel_count  # negative radicands on the pooled images
+    assert h_poisson.pixel_count < m - m // 97 - 1  # and far more on the hostile scores
+    assert invgauss[0] == "DomainError" and h_gauss[1].startswith("degenerate gaussian level")
+    # the other failures keep their conditions and messages too
+    pair, s1, s2 = hostile_probe()
+    still = perturb(pair.y1, 0.0, seed=33)
+    failures = [
+        same_outcome(estimate_rho, whole_array_rho, pair, s1, s2, mask_eps=1e-300),
+        same_outcome(estimate_rho, whole_array_rho, still, s1, s1),
+        same_outcome(estimate_level, whole_array_level, "gaussian", pair, s1, s1),
+    ]
+    assert [f[1].split()[:2] for f in failures] == [["empty", "mask"], ["all", "quadratic"], ["only", "0"]]

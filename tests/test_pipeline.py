@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -154,6 +155,66 @@ def test_pooled_estimation_across_images():
     me2, le2, _, _ = blind_estimate([y.ravel() for y in ys], backend, DenoiseCfg(seed=9))
     assert me2.rho_hat == me.rho_hat
     assert le2.value == le.value
+
+
+def test_pooled_probe_data_is_held_once():
+    # every image's probe arrays and y1 score are views into one pooled array each
+    ys = [gaussian_scene((s, 100 + s, 200))[1] for s in range(3)]
+    backend = lambda v: analytic_score_gaussian(v, PAL, SIG)
+    _, _, pairs, f1 = blind_estimate(ys, backend, DenoiseCfg(seed=9))
+    for get in (lambda p: p.y1, lambda p: p.y2, lambda p: p.u):
+        assert all(get(p).base is get(pairs[0]).base is not None for p in pairs)
+    assert all(s.values.base is f1[0].values.base is not None for s in f1)
+    for i, (y, pair, s1) in enumerate(zip(ys, pairs, f1)):
+        alone = pipeline.perturb(y, 1e-5, 9 + i)
+        for k in ("y1", "y2", "u"):
+            np.testing.assert_array_equal(getattr(pair, k), getattr(alone, k))
+        np.testing.assert_array_equal(s1.values, backend(y).values)
+
+
+def test_one_image_keeps_its_own_arrays():
+    _, y, backend, cfg = gaussian_scene()
+    seen, scored = [], []
+
+    def spy(v):
+        seen.append(v)
+        scored.append(backend(v))
+        return scored[-1]
+
+    _, _, pairs, f1 = blind_estimate([y], spy, cfg)
+    assert np.shares_memory(pairs[0].y1, y) and np.shares_memory(seen[0], y)
+    assert np.shares_memory(f1[0].values, scored[0].values)
+    seen.clear()
+    scored.clear()
+    _, report = denoise_blind(y, spy, cfg)
+    assert np.shares_memory(seen[0], y) and np.shares_memory(report.y1_scores[0].values, scored[0].values)
+
+
+def test_blind_estimate_needs_an_image():
+    _, _, backend, cfg = gaussian_scene()
+    with pytest.raises(ValidationError, match="^no images to estimate$"):
+        blind_estimate([], backend, cfg)
+    with pytest.raises(ValidationError, match="^no images to estimate$"):
+        blind_estimate(iter(()), backend, cfg)
+
+
+def test_pooled_estimation_memory_is_bounded():
+    # 16 x 256^2 pixels: the five pooled probe arrays take 40 MiB, one gather buffer 8 MiB;
+    # per-image copies and whole-array temporaries took 155 MiB
+    model = NoiseModel(ModelKind.GAUSSIAN, SIG**2)
+    ys = [
+        sample_noisy(gen_clean(SynthSpec("piecewise_constant", 256, 256, PAL, regions=64, seed=i)), model, seed=100 + i)
+        for i in range(16)
+    ]
+    backend = lambda v: analytic_score_gaussian(v, PAL, SIG)
+    tracemalloc.start()
+    try:
+        me, le, _, _ = blind_estimate(ys, backend, DenoiseCfg(seed=3))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert me.classified == "gaussian" and le.pixel_count > 0.99 * 16 * 256 * 256
+    assert peak <= 64 * 2**20
 
 
 def test_backend_call_budget():
