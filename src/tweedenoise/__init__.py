@@ -72,7 +72,6 @@ from .tweedie import (
     TweedieParams,
     alpha_term,
     denoise_field,
-    guarded_universal,
     posterior_mean_special,
     posterior_mean_universal,
     saddle_density,

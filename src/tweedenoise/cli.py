@@ -174,6 +174,7 @@ def parse_config(path) -> dict:
         level = float(noise["level"])
         if kind is ModelKind.GAUSSIAN:
             level = level / 255.0  # sigma given on the 8-bit scale
+        NoiseModel(kind, level).validate()  # finite and positive, Gamma k > 1
         cfg["noise_kind"] = kind
         cfg["noise_level"] = level  # natural units: sigma | zeta | k
 
@@ -407,6 +408,8 @@ def main(argv=None) -> int:
         cfg = parse_config(args.config)
         if args.seed is not None:
             cfg["seed"] = args.seed
+        if cfg["seed"] < 0:  # every stream is keyed through SeedSequence, which takes no negative entropy
+            raise ValidationError(f"seed must be a non-negative integer, got {cfg['seed']}")
         if args.out is not None:
             cfg["out_dir"] = args.out
         out = Path(cfg["out_dir"])

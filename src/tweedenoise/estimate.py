@@ -159,11 +159,8 @@ def estimate_level(
     pair: PerturbationPair,
     s1: ScoreField,
     s2: ScoreField,
-    quorum: int = LEVEL_QUORUM,
 ) -> LevelEstimate:
     kind = ModelKind(kind)
-    if kind not in (ModelKind.GAUSSIAN, ModelKind.POISSON, ModelKind.GAMMA):
-        raise DomainError(f"no level estimator for {kind}")
     vals, n = np.empty(pair.y1.size), 0  # the kept per-pixel estimates, gathered
     for y1, y2, u, v1, v2 in _blocks(pair.y1, pair.y2, pair.u, s1.values, s2.values):
         ds, eu = v2 - v1, pair.eps * u
@@ -182,8 +179,8 @@ def estimate_level(
         est = est[keep & np.isfinite(est)]
         vals[n:n + est.size] = est
         n += est.size
-    if n < quorum:
-        raise EstimationFailure(f"only {n} valid pixels for {kind.value} level (quorum {quorum})")
+    if n < LEVEL_QUORUM:
+        raise EstimationFailure(f"only {n} valid pixels for {kind.value} level (quorum {LEVEL_QUORUM})")
     vals = vals[:n]
     value = float(np.median(vals, overwrite_input=True))
     if not np.isfinite(value) or value <= 0:

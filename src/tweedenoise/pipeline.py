@@ -160,10 +160,12 @@ def denoise_known(y, model: NoiseModel, score_backend):
 # ---------------------------------------------------------------------------
 # independent posterior-mean oracles
 
+PRIOR_NSD = 12.0  # each prior component is integrated over its mean +- PRIOR_NSD stds
 
-def _prior_component_bounds(prior: GmmPrior, nsd: float = 12.0):
+
+def _prior_component_bounds(prior: GmmPrior):
     for wt, m, sd in zip(prior.weights, prior.means, prior.stds):
-        yield wt, m, sd, max(m - nsd * sd, 1e-8), m + nsd * sd
+        yield wt, m, sd, max(m - PRIOR_NSD * sd, 1e-8), m + PRIOR_NSD * sd
 
 
 def _quad(f, lo, hi):
@@ -205,14 +207,11 @@ def brute_posterior_mean(y: float, prior: GmmPrior, model: NoiseModel) -> float:
         def loglik(x):
             return n * np.log(x / zeta) - x / zeta - gammaln(n + 1)
 
-    elif kind is ModelKind.GAMMA:
+    else:
         k = model.level
 
         def loglik(x):
             return k * np.log(k / x) - gammaln(k) + (k - 1) * np.log(y) - (k / x) * y
-
-    else:
-        raise DomainError(f"no likelihood for {kind}")
 
     # shared log offset keeps the integrands O(1) even deep in the tails;
     # it cancels in the ratio

@@ -137,11 +137,9 @@ def sample_noisy(x: np.ndarray, model: NoiseModel, seed: int) -> np.ndarray:
             y = model.level * rng.poisson(x / model.level).astype(np.float64)
         except ValueError as exc:  # numpy cannot draw at rates this large
             raise DomainError(f"Poisson rate x/zeta out of range for zeta={model.level}: {exc}") from exc
-    elif kind is ModelKind.GAMMA:
+    else:
         k = model.level
         y = x * rng.gamma(shape=k, scale=1.0 / k, size=x.shape)
-    else:
-        raise DomainError(f"no sampler for {kind}")
     return np.maximum(y, EPS_Y)
 
 

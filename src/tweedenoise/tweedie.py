@@ -6,7 +6,9 @@ members used here:
     rho = 0   Gaussian,         phi = sigma^2
     rho = 1   Poisson (scaled), phi = zeta
     rho = 2   Gamma,            phi = 1/k      (shape alpha = beta = k)
-    rho = 3   inverse Gaussian  (density only; never blindly estimated)
+
+Other indices, rho = 3 (inverse Gaussian) among them, are density-only:
+they enter through :class:`TweedieParams`, never as a :class:`ModelKind`.
 
 The density is handled through the saddle-point form
 
@@ -55,16 +57,6 @@ class ModelKind(str, Enum):
     GAUSSIAN = "gaussian"
     POISSON = "poisson"
     GAMMA = "gamma"
-    INVERSE_GAUSSIAN = "invgauss"
-
-
-# power-variance index per kind
-MODEL_RHO = {
-    ModelKind.GAUSSIAN: 0.0,
-    ModelKind.POISSON: 1.0,
-    ModelKind.GAMMA: 2.0,
-    ModelKind.INVERSE_GAUSSIAN: 3.0,
-}
 
 
 @dataclass(frozen=True)
@@ -91,8 +83,7 @@ class TweedieParams:
 class NoiseModel:
     """A concrete noise family plus its level parameter.
 
-    ``level`` is sigma^2 for Gaussian, zeta for Poisson, k for Gamma and
-    phi for inverse Gaussian.
+    ``level`` is sigma^2 for Gaussian, zeta for Poisson and k for Gamma.
     """
 
     kind: ModelKind
@@ -106,21 +97,6 @@ class NoiseModel:
             # the denoising formula divides by (k - 1) - y*l'(y)
             raise DomainError(f"Gamma requires k > 1, got {self.level}")
         return self
-
-    @property
-    def rho(self) -> float:
-        return MODEL_RHO[ModelKind(self.kind)]
-
-    @property
-    def phi(self) -> float:
-        kind = ModelKind(self.kind)
-        if kind is ModelKind.GAMMA:
-            return 1.0 / self.level
-        return self.level
-
-    @property
-    def params(self) -> TweedieParams:
-        return TweedieParams(self.rho, self.phi)
 
 
 def _check_positive(name, x):
@@ -187,55 +163,32 @@ def alpha_term(y, params: TweedieParams, score):
     return params.phi * np.power(y, params.rho - 1.0) * (params.rho / (2.0 * y) + score)
 
 
-def _universal(y, params: TweedieParams, score):
-    """(y, xhat, base) of the universal formula.  ``base`` is the
-    fractional-power base 1 + (1-rho)*alpha, None on the rho = 0 and
-    rho -> 1 branches, which take no such power; xhat is meaningless
-    wherever base is not positive."""
+def posterior_mean_universal(y, params: TweedieParams, score):
+    """Posterior mean y*(1 + (1-rho)*alpha)^(1/(1-rho)) for any rho.
+
+    At rho = 0 this is y + phi*l'(y), evaluated directly; near rho = 1 the
+    L'Hospital limit y*exp(alpha) is used.  Raises
+    :class:`SingularEstimateError` if the base of the fractional power is
+    not positive at some pixel.
+    """
     a = alpha_term(y, params, score)
     y = np.asarray(y, dtype=np.float64)
     if params.rho == 0.0:
         # exponent 1/(1-rho) is exactly 1; the reduction to y + phi*l'(y)
         # is an algebraic identity and evaluating it directly keeps the
         # Gaussian case exact (no power/cancellation round-off)
-        return y, y + params.phi * np.asarray(score, dtype=np.float64), None
+        return y + params.phi * np.asarray(score, dtype=np.float64)
     if abs(params.rho - 1.0) < BRANCH_EPS:
-        return y, y * np.exp(a), None
+        return y * np.exp(a)
     r1 = 1.0 - params.rho
     base = 1.0 + r1 * a
-    with np.errstate(invalid="ignore"):
-        return y, y * np.power(np.where(base <= 0.0, 1.0, base), 1.0 / r1), base
-
-
-def posterior_mean_universal(y, params: TweedieParams, score):
-    """Posterior mean y*(1 + (1-rho)*alpha)^(1/(1-rho)) for any rho.
-
-    Near rho = 1 the L'Hospital limit y*exp(alpha) is used.  Raises
-    :class:`SingularEstimateError` if the base of the fractional power is
-    not positive at some pixel; see :func:`guarded_universal` for the
-    guarded batch variant.
-    """
-    _, xhat, base = _universal(y, params, score)
-    if base is not None and np.any(base <= 0.0):
+    if np.any(base <= 0.0):
         idx = int(np.flatnonzero(np.atleast_1d(base <= 0.0))[0])
         raise SingularEstimateError(
             f"non-positive fractional-power base at pixel {idx} "
             f"(rho={params.rho}, base={np.atleast_1d(base).ravel()[idx]:.3e})"
         )
-    return xhat
-
-
-def guarded_universal(y, params: TweedieParams, score):
-    """Universal formula with the fractional-power guard.
-
-    Pixels where 1 + (1-rho)*alpha <= 0 fall back to xhat = y; returns
-    ``(xhat, n_fallback)``.
-    """
-    y, xhat, base = _universal(y, params, score)
-    if base is None:
-        return xhat, 0
-    bad = base <= 0.0
-    return np.where(bad, y, xhat), int(np.count_nonzero(bad))
+    return y * np.power(base, 1.0 / r1)
 
 
 def _family_mean(y, model: NoiseModel, score):
@@ -251,11 +204,9 @@ def _family_mean(y, model: NoiseModel, score):
     if kind is ModelKind.POISSON:
         with np.errstate(over="ignore"):
             return y, (y + model.level / 2.0) * np.exp(model.level * score), None
-    if kind is ModelKind.GAMMA:
-        k = model.level
-        denom = (k - 1.0) - y * score
-        return y, k * y / np.maximum(denom, GAMMA_DENOM_FLOOR), denom
-    raise DomainError(f"no denoising formula for {kind}")
+    k = model.level
+    denom = (k - 1.0) - y * score
+    return y, k * y / np.maximum(denom, GAMMA_DENOM_FLOOR), denom
 
 
 def posterior_mean_special(y, model: NoiseModel, score):

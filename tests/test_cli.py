@@ -12,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from tweedenoise import (
@@ -156,8 +156,16 @@ def test_config_error_exit_codes(tmp_path):
     c = base_config(out); del c["synth"], c["noise"]; cases += [("estimate", c), ("eval", c)]
     for model, level in (("poisson", 0.02), ("gamma", 50)):
         c = base_config(out); c["noise"] = {"model": model, "level": level}; cases.append(("estimate", c))
+    # a negative seed, a non-positive level or Gamma k <= 1, and a family no sampler or formula covers,
+    # are all rejected at parse, in every command
+    bad_noise = [("gaussian", -25), ("gaussian", 0), ("poisson", -0.02), ("gamma", 1), ("invgauss", 0.1)]
+    for command in ("synth", "estimate", "train"):
+        c = base_config(out); c["seed"] = -1; cases.append((command, c))
+        for model, level in bad_noise:
+            c = base_config(out); c["noise"] = {"model": model, "level": level}; cases.append((command, c))
     for i, (command, c) in enumerate(cases):
         assert run(command, write_config(tmp_path, c, f"c{i}.json")) == 2, (command, c)
+    assert run("estimate", str(tmp_path / "base.json"), "--seed", "-1") == 2
     assert run("synth", str(tmp_path / "nope.json")) == 2
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
@@ -274,6 +282,7 @@ MUTATIONS = st.lists(
 
 @settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(MUTATIONS)
+@example([(("seed",), -1)])
 def test_mutated_configs_exit_cleanly(mutations):
     with tempfile.TemporaryDirectory() as tmp:
         cfg = base_config(Path(tmp) / "out")

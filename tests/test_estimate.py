@@ -24,7 +24,7 @@ from tweedenoise import (
     sample_noisy,
 )
 from tweedenoise import estimate as estimate_module
-from tweedenoise.estimate import LEVEL_DENOM_FLOOR
+from tweedenoise.estimate import LEVEL_DENOM_FLOOR, LEVEL_QUORUM
 
 P2 = GmmPrior((0.5, 0.5), (0.3, 0.7), (0.02, 0.02))
 PAL = GmmPrior((0.2, 0.8), (0.3, 0.9), (0.005, 0.005))
@@ -327,7 +327,6 @@ def whole_array_level(
     pair: PerturbationPair,
     s1: ScoreField,
     s2: ScoreField,
-    quorum: int = 16,
 ) -> LevelEstimate:
     """``estimate_level`` over whole arrays at once: the formulas before blocking, verbatim."""
     kind = ModelKind(kind)
@@ -343,16 +342,14 @@ def whole_array_level(
             radicand = y1**2 - 2.0 * c
             keep = (np.abs(ds) >= LEVEL_DENOM_FLOOR) & (radicand >= 0)
             est = -y1 + np.sqrt(np.where(keep, radicand, 0.0))
-        elif kind is ModelKind.GAMMA:
+        else:
             dinv = 1.0 / y2 - 1.0 / y1
             est = 1.0 + ds / dinv
             keep = np.abs(dinv) >= LEVEL_DENOM_FLOOR
-        else:
-            raise DomainError(f"no level estimator for {kind}")
     keep &= np.isfinite(est)
     n = int(np.count_nonzero(keep))
-    if n < quorum:
-        raise EstimationFailure(f"only {n} valid pixels for {kind.value} level (quorum {quorum})")
+    if n < LEVEL_QUORUM:
+        raise EstimationFailure(f"only {n} valid pixels for {kind.value} level (quorum {LEVEL_QUORUM})")
     vals = est[keep]
     value = float(np.median(vals))
     if not np.isfinite(value) or value <= 0:
@@ -367,7 +364,7 @@ def same_outcome(blocked, whole, *args, **kw):
     for f in (blocked, whole):
         try:
             got.append(f(*args, **kw))
-        except (EstimationFailure, DomainError) as exc:
+        except (EstimationFailure, ValueError) as exc:  # DomainError, and ModelKind's own for an unknown name
             got.append((type(exc).__name__, str(exc)))
     assert got[0] == got[1]
     return got[0]
@@ -410,7 +407,7 @@ def test_blocked_estimators_match_whole_array_bitwise(monkeypatch, block):
     assert all(isinstance(le, LevelEstimate) for le in (gauss, poisson, gamma, h_poisson, h_gamma))
     assert poisson.pixel_count < gauss.pixel_count  # negative radicands on the pooled images
     assert h_poisson.pixel_count < m - m // 97 - 1  # and far more on the hostile scores
-    assert invgauss[0] == "DomainError" and h_gauss[1].startswith("degenerate gaussian level")
+    assert invgauss[0] == "ValueError" and h_gauss[1].startswith("degenerate gaussian level")
     # the other failures keep their conditions and messages too
     pair, s1, s2 = hostile_probe()
     still = perturb(pair.y1, 0.0, seed=33)
