@@ -9,8 +9,8 @@ at any nesting level.  Gaussian noise levels are given as sigma on the
 0-255 scale (divided by 255 at parse time); Poisson zeta and Gamma k are
 unit-scale already.
 
-Exit codes: 0 success, 2 malformed config or manifest (NaN or Infinity
-too), 3 estimation failure (quadrature non-convergence included), 4
+Exit codes: 0 success, 2 malformed config or manifest (NaN, Infinity and
+integers beyond the float range too), 3 estimation failure (quadrature non-convergence included), 4
 training divergence.
 
 ``estimate``, ``denoise`` and ``eval`` share one loop over
@@ -31,6 +31,7 @@ import csv
 import dataclasses
 import json
 import logging
+import math
 import sys
 from pathlib import Path
 
@@ -106,9 +107,18 @@ def _is(value, types) -> bool:
     return isinstance(value, types) and (types is bool or not isinstance(value, bool))
 
 
+def _finite(x) -> bool:
+    """``x`` converts to a finite float; a JSON integer may be too large to."""
+    try:
+        return math.isfinite(x)
+    except OverflowError:
+        return False
+
+
 def _section(d, where: str, *required: str) -> dict:
     """``d`` checked as the config object ``where`` of _SCHEMA: unknown keys,
-    mistyped values and missing ``required`` keys are rejected."""
+    mistyped values, numbers that are no finite float and missing
+    ``required`` keys are rejected."""
     if not isinstance(d, dict):
         raise ValidationError(f"{where} must be an object")
     schema = _SCHEMA[where]
@@ -118,6 +128,9 @@ def _section(d, where: str, *required: str) -> dict:
     for key, value in d.items():
         if not _is(value, schema[key]):
             raise ValidationError(f"{where}.{key} has the wrong type: {value!r}")
+        numbers = value if schema[key] == [_NUMBER] else [value] if schema[key] == _NUMBER else []
+        if not all(map(_finite, numbers)):
+            raise ValidationError(f"{where}.{key} must be a finite number")
     missing = [k for k in required if k not in d]
     if missing:
         raise ValidationError(f"{where} lacks the required key(s) {missing}")
@@ -293,10 +306,9 @@ def _blind_images(cfg, out: Path, images, backend):
 
     A pooled run estimates once over all images with seed ``seed``; a
     per-image run estimates each image alone with seed ``seed + index``.  A
-    group's noisy tensors are loaded when the loop reaches it and replaced by
-    the probe's y1 (views of the pooled copy) once estimated; the loop drops
-    them and their scores before it scores the next group, and callers drop
-    what they were handed too.
+    group's noisy tensors are loaded when the loop reaches it; each is its
+    probe's y1, never copied.  The loop drops them and their scores before it
+    scores the next group, and callers drop what they were handed too.
     """
     dn = DenoiseCfg(seed=cfg["seed"], **cfg["estimation"])
     if cfg["pooled"]:
@@ -308,7 +320,6 @@ def _blind_images(cfg, out: Path, images, backend):
         try:
             me, le, pairs, f1 = blind_estimate(ys, backend, group_cfg)
             report = DenoiseReport(f1[0].backend, me, le, y1_scores=f1, seed=group_cfg.seed)
-            ys = [p.y1 for p in pairs]  # one copy of the pixels: frees the loaded tensors
             del pairs, f1  # frees y2 and u before the next group is scored
         except EstimationFailure as exc:
             report = exc.report

@@ -27,10 +27,14 @@ with pixels excluded when the relevant denominator magnitude is below
 1e-12 or the radicand is negative, and the median of the survivors
 reported.
 
-Both estimators work in blocks of BLOCK pixels and gather the survivors into
-one flat array, so each mean and order statistic is the whole image's, bit
-for bit, and memory beyond the probe data is one pixel-sized buffer and a
-few blocks.
+A group of images is estimated as one pool: the pair's fields and the score
+fields are then Pools of each image's arrays, read in order and never copied
+into one.  Both estimators work in blocks of BLOCK pixels, image by image,
+and gather what each mean or order statistic needs (the masked w, then the
+masked b, each sign's finite roots, the kept level values) into one
+pixel-sized buffer, so every statistic is that of the concatenated arrays,
+bit for bit, and memory beyond the probe data is that buffer and a few
+blocks.
 """
 
 from __future__ import annotations
@@ -40,7 +44,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, EstimationFailure
-from .scores import ScoreField
+from .scores import Pool, ScoreField
 from .simulate import rng_for
 from .tweedie import EPS_Y, ModelKind
 
@@ -56,7 +60,8 @@ UNKNOWN = "unknown"
 
 @dataclass(frozen=True)
 class PerturbationPair:
-    """y2 = y1 + eps*u (then clamped at EPS_Y); u stored pre-clamp."""
+    """y2 = y1 + eps*u (then clamped at EPS_Y); u stored pre-clamp.  A pooled
+    group's pair holds a Pool of each image's arrays in every field."""
 
     y1: np.ndarray
     y2: np.ndarray
@@ -91,10 +96,20 @@ def perturb(y1: np.ndarray, eps: float, seed: int) -> PerturbationPair:
     return PerturbationPair(y1, y2, u, float(eps))
 
 
-def _blocks(*arrays):
-    """The arrays' aligned flat blocks of BLOCK pixels."""
-    flat = [np.ravel(x) for x in arrays]
-    return ([x[lo:lo + BLOCK] for x in flat] for lo in range(0, flat[0].size, BLOCK))
+def _blocks(*fields):
+    """The fields' aligned flat blocks of BLOCK pixels; Pools image by image, in order."""
+    for arrays in zip(*(f if isinstance(f, Pool) else (f,) for f in fields), strict=True):
+        flat = [np.ravel(x) for x in arrays]
+        yield from ([x[lo:lo + BLOCK] for x in flat] for lo in range(0, flat[0].size, BLOCK))
+
+
+def _gather(buf: np.ndarray, parts) -> int:
+    """Copy the parts one after another into the front of ``buf``; returns their count."""
+    k = 0
+    for part in parts:
+        buf[k:k + part.size] = part
+        k += part.size
+    return k
 
 
 def estimate_rho(
@@ -104,34 +119,39 @@ def estimate_rho(
     mask_eps: float = DEFAULT_MASK_EPS,
     rho_assumed: float = DEFAULT_RHO_ASSUMED,
 ) -> ModelEstimate:
-    n, ws, bs = pair.y1.size, [], []
-    for y1, y2, v1, v2 in _blocks(pair.y1, pair.y2, s1.values, s2.values):
-        b = 2.0 * y1 * v1
-        w = 2.0 * y2 * v2 - b
-        with np.errstate(all="ignore"):
-            ww = w / (rho_assumed + b)
-        mask = np.isfinite(ww) & (np.abs(ww) <= mask_eps)
-        ws.append(w[mask])
-        bs.append(b[mask])
-    n_masked = sum(w.size for w in ws)
-    if not n_masked:
-        raise EstimationFailure(f"empty mask at mask_eps={mask_eps}; increase mask_eps or the image size")
-    wbar, bbar = (float(np.nanmean(np.concatenate(x))) for x in (ws, bs))
-    del ws, bs
-    # a*(rho - 2)*(rho + bbar) + wbar = 0, expanded to a standard quadratic;
-    # each sign's finite roots are gathered into one buffer and averaged there
-    buf, roots, n_nonfinite = np.empty(n), [], 0
-    for sign in (1.0, -1.0):
-        k = 0
+    n = pair.y1.size
+    buf, masks = np.empty(n), []  # every gather below reuses buf; masks are kept for the gather of b
+
+    def masked_w():
+        for y1, y2, v1, v2 in _blocks(pair.y1, pair.y2, s1.values, s2.values):
+            b = 2.0 * y1 * v1
+            w = 2.0 * y2 * v2 - b
+            with np.errstate(all="ignore"):
+                ww = w / (rho_assumed + b)
+            masks.append(np.isfinite(ww) & (np.abs(ww) <= mask_eps))
+            yield w[masks[-1]]
+
+    def finite_roots(sign):
+        # a*(rho - 2)*(rho + bbar) + wbar = 0, expanded to a standard quadratic
         for y1, y2 in _blocks(pair.y1, pair.y2):
             a = np.log(y2 / y1)
             first = a * (bbar - 2.0)
             with np.errstate(all="ignore"):
                 disc = first**2 - 4.0 * a * (-2.0 * a * bbar + wbar)
                 p = (-first + sign * np.sqrt(disc)) / (2.0 * a)
-            p = p[np.isfinite(p)]
-            buf[k:k + p.size] = p
-            k += p.size
+            yield p[np.isfinite(p)]
+
+    n_masked = _gather(buf, masked_w())
+    if not n_masked:
+        raise EstimationFailure(f"empty mask at mask_eps={mask_eps}; increase mask_eps or the image size")
+    # a finite ww needs finite w and b, so these plain means are the NaN-ignoring ones
+    wbar = float(buf[:n_masked].mean())
+    _gather(buf, ((2.0 * y1 * v1)[mask] for (y1, v1), mask in zip(_blocks(pair.y1, s1.values), masks)))
+    del masks
+    bbar = float(buf[:n_masked].mean())
+    roots, n_nonfinite = [], 0
+    for sign in (1.0, -1.0):
+        k = _gather(buf, finite_roots(sign))
         n_nonfinite += n - k
         roots.append(float(buf[:k].mean()) if k else float("nan"))
     if n_nonfinite == 2 * n:
@@ -161,29 +181,42 @@ def estimate_level(
     s2: ScoreField,
 ) -> LevelEstimate:
     kind = ModelKind(kind)
-    vals, n = np.empty(pair.y1.size), 0  # the kept per-pixel estimates, gathered
-    for y1, y2, u, v1, v2 in _blocks(pair.y1, pair.y2, pair.u, s1.values, s2.values):
-        ds, eu = v2 - v1, pair.eps * u
-        with np.errstate(all="ignore"):
-            if kind is ModelKind.GAUSSIAN:
-                est = -eu / ds
-                keep = np.abs(ds) >= LEVEL_DENOM_FLOOR
-            elif kind is ModelKind.POISSON:
-                radicand = y1**2 - 2.0 * (eu / ds)
-                keep = (np.abs(ds) >= LEVEL_DENOM_FLOOR) & (radicand >= 0)
-                est = -y1 + np.sqrt(np.where(keep, radicand, 0.0))
-            else:
-                dinv = 1.0 / y2 - 1.0 / y1
-                est = 1.0 + ds / dinv
-                keep = np.abs(dinv) >= LEVEL_DENOM_FLOOR
-        est = est[keep & np.isfinite(est)]
-        vals[n:n + est.size] = est
-        n += est.size
+
+    def kept():  # the kept per-pixel estimates, block by block
+        for y1, y2, u, v1, v2 in _blocks(pair.y1, pair.y2, pair.u, s1.values, s2.values):
+            ds, eu = v2 - v1, pair.eps * u
+            with np.errstate(all="ignore"):
+                if kind is ModelKind.GAUSSIAN:
+                    est = -eu / ds
+                    keep = np.abs(ds) >= LEVEL_DENOM_FLOOR
+                elif kind is ModelKind.POISSON:
+                    radicand = y1**2 - 2.0 * (eu / ds)
+                    keep = (np.abs(ds) >= LEVEL_DENOM_FLOOR) & (radicand >= 0)
+                    est = -y1 + np.sqrt(np.where(keep, radicand, 0.0))
+                else:
+                    dinv = 1.0 / y2 - 1.0 / y1
+                    est = 1.0 + ds / dinv
+                    keep = np.abs(dinv) >= LEVEL_DENOM_FLOOR
+            yield est[keep & np.isfinite(est)]
+
+    vals = np.empty(pair.y1.size)
+    n = _gather(vals, kept())
     if n < LEVEL_QUORUM:
         raise EstimationFailure(f"only {n} valid pixels for {kind.value} level (quorum {LEVEL_QUORUM})")
     vals = vals[:n]
-    value = float(np.median(vals, overwrite_input=True))
+    # np.median and np.percentile (linear), written out over one partition at their order positions;
+    # n >= LEVEL_QUORUM > 1, so each quartile's upper neighbour i + 1 is inside vals
+    at = [(n - 1) * 0.75, (n - 1) * 0.25]  # the quartiles' fractional positions
+    below = [int(x) for x in at]
+    vals.partition(sorted({(n - 1) // 2, n // 2, *below, *(i + 1 for i in below)}))
+    value = float(vals[(n - 1) // 2:n // 2 + 1].mean())  # the middle value, or the middle two's mean
     if not np.isfinite(value) or value <= 0:
         raise EstimationFailure(f"degenerate {kind.value} level estimate {value!r}")
-    q75, q25 = np.percentile(vals, [75, 25], overwrite_input=True)
+    q75, q25 = (_lerp(vals[i], vals[i + 1], x - i) for x, i in zip(at, below))
     return LevelEstimate(kind=kind.value, value=value, pixel_count=n, iqr=float(q75 - q25))
+
+
+def _lerp(a, b, t):
+    """np.percentile's linear interpolation from a to b, exact at both ends."""
+    d = b - a
+    return b - d * (1 - t) if t >= 0.5 else a + d * t

@@ -31,7 +31,7 @@ from .estimate import (
     estimate_rho,
     perturb,
 )
-from .scores import QUAD_ORDER, ScoreField, gaussian_posterior, posterior_moment
+from .scores import QUAD_ORDER, Pool, ScoreField, gaussian_posterior, posterior_moment
 from .simulate import GmmPrior
 from .tweedie import EPS_Y, ModelKind, NoiseModel, denoise_field
 
@@ -85,45 +85,34 @@ def blind_estimate(ys, score_backend, cfg: DenoiseCfg):
     """Shared blind-estimation front end over one or many images.
 
     Returns (model_estimate, level_estimate, pairs, s1_list).  Estimation
-    statistics are pooled across all images in ``ys``, whose probe data is
-    held once, in five arrays (y1, y2, u, s1, s2); the per-image pairs and
-    y1-scores returned are views into them, so callers can apply the formula
-    without re-evaluating the backend.  One image keeps its own arrays.
-    Raises :class:`ValidationError` for no images and :class:`EstimationFailure`
+    statistics are pooled across all images in ``ys``: the estimators read
+    each image's probe pair and scores in place, as Pools, so no probe pixel
+    is copied and each pair's y1 is its image itself (as float64).  The
+    per-image pairs and y1-scores are returned, so callers can apply the
+    formula without re-evaluating the backend.  Raises
+    :class:`ValidationError` for no images and :class:`EstimationFailure`
     on an empty mask, an unknown classification or a failed level estimate;
     its report carries the y1 scores, the probe seed, the message as
     ``error`` and the model estimate when there is one.
     """
     cfg.validate()
-    ys = list(ys)
-    if not ys:
-        raise ValidationError("no images to estimate")
-    pool = [np.empty(sum(np.size(y) for y in ys)) for _ in range(5)] if len(ys) > 1 else None
-    start, pairs, f1 = 0, [], []
-
-    def put(k, x):  # with several images, x copied into its slice of pooled array k
-        if pool:
-            pool[k][start:start + x.size] = x.ravel()
-        return pool[k][start:start + x.size].reshape(x.shape) if pool else x
-
+    pairs, f1, v2 = [], [], []
     for i, y in enumerate(ys):
-        pair = perturb(y, cfg.eps, cfg.seed + i)
-        pair = PerturbationPair(put(0, pair.y1), put(1, pair.y2), put(2, pair.u), pair.eps)
-        at1, at2 = score_backend(pair.y1), score_backend(pair.y2)
-        pairs.append(pair)
-        f1.append(ScoreField(put(3, at1.values), at1.backend))
-        v2 = put(4, at2.values)
-        start += pair.y1.size
-    pool = pool or [pairs[0].y1, pairs[0].y2, pairs[0].u, f1[0].values, v2]
-    pooled_pair = PerturbationPair(*pool[:3], pairs[0].eps)
-    s1, s2 = ScoreField(pool[3], f1[0].backend), ScoreField(pool[4], f1[0].backend)
-    report = DenoiseReport(backend=s1.backend, y1_scores=f1, seed=cfg.seed)
+        pairs.append(perturb(y, cfg.eps, cfg.seed + i))
+        f1.append(score_backend(pairs[-1].y1))
+        v2.append(score_backend(pairs[-1].y2).values)
+    if not pairs:
+        raise ValidationError("no images to estimate")
+    pooled = PerturbationPair(*(Pool(getattr(p, k) for p in pairs) for k in ("y1", "y2", "u")), pairs[0].eps)
+    backend = f1[0].backend
+    s1, s2 = ScoreField(Pool(s.values for s in f1), backend), ScoreField(Pool(v2), backend)
+    report = DenoiseReport(backend=backend, y1_scores=f1, seed=cfg.seed)
     try:
-        me = estimate_rho(pooled_pair, s1, s2, mask_eps=cfg.mask_eps, rho_assumed=cfg.rho_assumed)
+        me = estimate_rho(pooled, s1, s2, mask_eps=cfg.mask_eps, rho_assumed=cfg.rho_assumed)
         report.model_estimate = me
         if me.classified == UNKNOWN:
             raise EstimationFailure(f"rho_hat={me.rho_hat:.3f} classified as unknown; no level estimator applies")
-        le = estimate_level(me.classified, pooled_pair, s1, s2)
+        le = estimate_level(me.classified, pooled, s1, s2)
     except EstimationFailure as exc:
         report.error = str(exc)
         exc.report = report

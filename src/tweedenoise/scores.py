@@ -68,18 +68,25 @@ MIDPOINT_RTOL = 1e-13  # max relative E[x | y] gap there
 log = logging.getLogger("tweedenoise")
 
 
+class Pool(tuple):
+    """A group's per-image arrays, read in order as one flat field and never copied into one."""
+
+    size = property(lambda self: sum(x.size for x in self))  # their pixel count
+
+
 @dataclass(frozen=True)
 class ScoreField:
-    """Per-pixel score values plus the backend that produced them."""
+    """Per-pixel score values, or a Pool of each image's, plus the backend that produced them."""
 
     values: np.ndarray
     backend: str = "unspecified"
 
     def __post_init__(self):
-        v = np.asarray(self.values, dtype=np.float64)
-        if not np.all(np.isfinite(v)):
+        pool = isinstance(self.values, Pool)
+        arrays = [np.asarray(v, dtype=np.float64) for v in (self.values if pool else [self.values])]
+        if not all(np.isfinite(v).all() for v in arrays):
             raise DomainError("score field contains non-finite entries")
-        object.__setattr__(self, "values", v)
+        object.__setattr__(self, "values", Pool(arrays) if pool else arrays[0])
 
 
 def analytic_score_gaussian(y, prior: GmmPrior, sigma: float) -> ScoreField:

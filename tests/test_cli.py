@@ -1,5 +1,6 @@
 import contextlib
 import csv
+import functools
 import io
 import json
 import math
@@ -37,6 +38,7 @@ from tweedenoise import cli, pipeline
 from tweedenoise.cli import main
 
 SIGMA = 25.0 / 255.0
+HUGE = 10**400  # a JSON integer that no float holds
 PALETTE = GmmPrior((0.2, 0.8), (0.3, 0.9), (0.005, 0.005))
 
 
@@ -163,6 +165,13 @@ def test_config_error_exit_codes(tmp_path):
         c = base_config(out); c["seed"] = -1; cases.append((command, c))
         for model, level in bad_noise:
             c = base_config(out); c["noise"] = {"model": model, "level": level}; cases.append((command, c))
+        # a JSON integer too large for a float, at each kind of number key
+        for path in (("noise", "level"), ("estimation", "eps"), ("synth", "prior", "stds"), ("ardae", "lr"),
+                     ("ardae", "sigma_a_max")):
+            c = base_config(out); c.setdefault("ardae", {})
+            parent = functools.reduce(dict.__getitem__, path[:-1], c)
+            parent[path[-1]] = [HUGE, 0.005] if path[-1] == "stds" else HUGE
+            cases.append((command, c))
     for i, (command, c) in enumerate(cases):
         assert run(command, write_config(tmp_path, c, f"c{i}.json")) == 2, (command, c)
     assert run("estimate", str(tmp_path / "base.json"), "--seed", "-1") == 2
@@ -189,6 +198,9 @@ def test_config_error_exit_codes(tmp_path):
     assert run("estimate", str(tmp_path / "base.json")) == 2
     assert run("synth", str(tmp_path / "base.json")) == 0
     manifest.write_text(json.dumps(dict(json.loads(manifest.read_text()), level=float("nan"))))
+    assert run("estimate", str(tmp_path / "base.json")) == 2
+    assert run("synth", str(tmp_path / "base.json")) == 0
+    manifest.write_text(json.dumps(dict(json.loads(manifest.read_text()), level=HUGE)))
     assert run("estimate", str(tmp_path / "base.json")) == 2
 
 
@@ -235,10 +247,13 @@ def test_out_dir_naming_a_file_exits_2(tmp_path):
 
 def test_cli_start_up_and_gaussian_estimate_load_no_scipy(tmp_path):
     # scipy serves only the Poisson score and the brute-force oracle; a fresh
-    # interpreter shows what the CLI's own imports and a Gaussian run load
+    # interpreter shows what the CLI's own imports and a Gaussian run load.
+    # The level's order statistics need no numpy.ma either (numpy 1.x imports it with numpy itself)
     cfg_path = write_config(tmp_path, base_config(tmp_path / "o"))
     script = (
         "import sys\n"
+        "import numpy\n"
+        "eager_ma = 'numpy.ma' in sys.modules\n"
         "from tweedenoise import cli\n"
         "def scipy_modules():\n"
         "    return sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.'))\n"
@@ -246,14 +261,16 @@ def test_cli_start_up_and_gaussian_estimate_load_no_scipy(tmp_path):
         f"assert cli.main(['synth', '--config', {cfg_path!r}]) == 0\n"
         f"assert cli.main(['estimate', '--config', {cfg_path!r}]) == 0\n"
         "print(scipy_modules())\n"
+        "print('numpy.ma' in sys.modules and not eager_ma)\n"
     )
     src = str(Path(cli.__file__).resolve().parents[1])
     done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, timeout=300,
                           env={**os.environ, "PYTHONPATH": src})
     assert done.returncode == 0, done.stderr
-    after_import, after_estimate = done.stdout.splitlines()
+    after_import, after_estimate, loaded_ma = done.stdout.splitlines()
     assert after_import == "[]"
     assert after_estimate == "[]"
+    assert loaded_ma == "False"
 
 
 # every key of base_config but out_dir, by its path; a mutation replaces or deletes one
@@ -283,6 +300,7 @@ MUTATIONS = st.lists(
 @settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(MUTATIONS)
 @example([(("seed",), -1)])
+@example([(("noise", "level"), HUGE)])
 def test_mutated_configs_exit_cleanly(mutations):
     with tempfile.TemporaryDirectory() as tmp:
         cfg = base_config(Path(tmp) / "out")
@@ -419,15 +437,20 @@ def test_blind_images_hold_one_copy_of_the_pixels(synth_run, monkeypatch, pooled
         return t
 
     monkeypatch.setattr(cli, "load_tensor", tracking)
+    backend, scored = cli.make_backend(cfg), []
+
+    def spy(v):
+        scored.append(v)
+        return backend(v)
+
     ys = []
-    for im, y, _, _ in cli._blind_images(cfg, out, cli._load_manifest(out)["images"], cli.make_backend(cfg)):
-        if pooled:  # y is a view into the pooled y1, and the loaded tensors are gone
-            assert all(ref() is None for ref in loaded) and y.base is not None
-        else:  # the probe's y1 is the loaded tensor itself
-            assert np.shares_memory(y, loaded[-1]())
+    for k, (im, y, s1, _) in enumerate(cli._blind_images(cfg, out, cli._load_manifest(out)["images"], spy)):
+        # the probe's y1, scored first of each image's two calls, is the loaded tensor itself
+        assert scored[2 * k] is y is loaded[k]() and len(loaded) == len(scored) // 2 == (4 if pooled else k + 1)
         np.testing.assert_array_equal(y, real(out / im["noisy"]))
+        np.testing.assert_array_equal(s1.values, backend(y).values)  # the image's score alone
         ys.append(y)
-    assert len(ys) == 4 and (not pooled or all(y.base is ys[0].base for y in ys))
+    assert len(ys) == 4
 
 
 def test_estimate_failure_exit_code(synth_run):

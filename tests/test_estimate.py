@@ -25,6 +25,7 @@ from tweedenoise import (
 )
 from tweedenoise import estimate as estimate_module
 from tweedenoise.estimate import LEVEL_DENOM_FLOOR, LEVEL_QUORUM
+from tweedenoise.scores import Pool
 
 P2 = GmmPrior((0.5, 0.5), (0.3, 0.7), (0.02, 0.02))
 PAL = GmmPrior((0.2, 0.8), (0.3, 0.9), (0.005, 0.005))
@@ -358,16 +359,37 @@ def whole_array_level(
     return LevelEstimate(kind=kind.value, value=value, pixel_count=n, iqr=float(q75 - q25))
 
 
+def as_images(args):
+    """``args`` with the probe pair and score fields split into a pooled group of ragged images:
+    a third of a block, the bulk (several blocks), one pixel and a 21 x 37 image."""
+    n = next(a for a in args if isinstance(a, PerturbationPair)).y1.size
+    cuts = [estimate_module.BLOCK // 3, n - 778, n - 777]
+
+    def images(x):
+        *head, last = np.split(np.ravel(x), cuts)
+        return Pool([*head, last.reshape(21, 37)])
+
+    def split(a):
+        if isinstance(a, PerturbationPair):
+            return PerturbationPair(images(a.y1), images(a.y2), images(a.u), a.eps)
+        return ScoreField(images(a.values)) if isinstance(a, ScoreField) else a
+
+    return [split(a) for a in args]
+
+
 def same_outcome(blocked, whole, *args, **kw):
-    """The blocked and the whole-array result, or failure type and message, which must be equal."""
-    got = []
-    for f in (blocked, whole):
+    """The whole-array result, or failure type and message, which the blocked estimator must equal,
+    on the same arrays and on them split into a pooled group of images."""
+    def outcome(f, *a):
         try:
-            got.append(f(*args, **kw))
+            return f(*a, **kw)
         except (EstimationFailure, ValueError) as exc:  # DomainError, and ModelKind's own for an unknown name
-            got.append((type(exc).__name__, str(exc)))
-    assert got[0] == got[1]
-    return got[0]
+            return type(exc).__name__, str(exc)
+
+    ref = outcome(whole, *args)
+    assert outcome(blocked, *args) == ref
+    assert outcome(blocked, *as_images(args)) == ref
+    return ref
 
 
 def pooled_gaussian_probe(n_images=5, size=128):
@@ -417,3 +439,18 @@ def test_blocked_estimators_match_whole_array_bitwise(monkeypatch, block):
         same_outcome(estimate_level, whole_array_level, "gaussian", pair, s1, s1),
     ]
     assert [f[1].split()[:2] for f in failures] == [["empty", "mask"], ["all", "quadratic"], ["only", "0"]]
+
+
+def test_level_order_statistics_are_numpys_bitwise():
+    # est = -eps*u / (s2 - s1) is exactly v for eps = 1, u = -v and s2 - s1 = 1: the median and the
+    # quartiles, from one partition, must be np.median's and np.percentile's at every size mod 4. Each
+    # order position they read starts a new random level, so neighbours differ and the rest are ties
+    rng = np.random.default_rng(41)
+    for n in range(LEVEL_QUORUM, LEVEL_QUORUM + 1000):
+        at = [(n - 1) // 2, n // 2, *(int((n - 1) * q) + k for q in (0.25, 0.75) for k in (0, 1))]
+        levels = np.sort(rng.uniform(0.1, 2.0, len(at) + 1))
+        v = rng.permutation(levels[np.searchsorted(np.sort(at), np.arange(n), side="right")])
+        pair = PerturbationPair(np.ones(n), np.ones(n), -v, 1.0)
+        le = estimate_level("gaussian", pair, ScoreField(np.zeros(n)), ScoreField(np.ones(n)))
+        q75, q25 = np.percentile(v, [75, 25])
+        assert (le.pixel_count, le.value, le.iqr) == (n, float(np.median(v)), float(q75 - q25)), n
