@@ -44,7 +44,6 @@ from .pipeline import (
     blind_estimate,
     brute_posterior_mean,
     denoise_blind,
-    denoise_estimated,
     denoise_known,
     posterior_mean_field,
 )

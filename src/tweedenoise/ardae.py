@@ -50,7 +50,7 @@ PATCH_BLOCK = 1024  # pixels per block of eval_score; float32 at 128²: ties 512
 GRADCHECK_STEP, GRADCHECK_PROBES = 1e-5, 40  # gradient_check: central-difference step, entries per array
 
 
-@dataclass
+@dataclass(frozen=True)
 class ArdaeConfig:
     sigma_a_max: float = 0.1
     sigma_a_min: float = 0.001
@@ -64,7 +64,7 @@ class ArdaeConfig:
     hidden: tuple = (128, 128)
     seed: int = 0
 
-    def validate(self) -> "ArdaeConfig":
+    def __post_init__(self):
         if not (0 < self.sigma_a_min <= self.sigma_a_max < np.inf):
             raise DomainError("need 0 < sigma_a_min <= sigma_a_max < inf")
         if not (0 <= self.ema_decay < 1):
@@ -73,7 +73,6 @@ class ArdaeConfig:
             raise DomainError("bad epochs/batch_size/schedule_len")
         if not 0 < self.lr < np.inf or self.patch_radius < 0 or min(self.hidden, default=1) < 1:
             raise DomainError("bad lr/patch_radius/hidden")
-        return self
 
     @property
     def patch_dim(self) -> int:
@@ -290,7 +289,6 @@ def train_ardae(config: ArdaeConfig, data) -> tuple:
     image in raster order, into buffers that every full batch reuses.
     The data, the batches and every step's arithmetic are DTYPE.
     """
-    config.validate()
     arrays = [data] if isinstance(data, np.ndarray) else list(data)
     arrays = [_as_image(np.asarray(a, DTYPE), config.patch_radius) for a in arrays]
     starts = np.cumsum([0] + [a.size for a in arrays])

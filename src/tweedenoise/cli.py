@@ -19,9 +19,10 @@ pooled, else one group per image with seed ``seed + index``; each image gets
 its group's ``pipeline.DenoiseReport``.  ``estimate`` writes every index
 estimate, also with an ``unknown`` class or a failed level estimate (its
 level left empty), and exits 3 when a group has none; ``denoise``/``eval``
-record a group's ``error`` in the column of that name and exit 0.  They
-reuse the score at y1 (y itself) for the known-level column, so each image
-is scored twice.
+record a group's ``error`` in the column of that name and exit 0.  Their
+blind and known-level columns both apply ``pipeline.denoise_known``, with
+the estimated and the true model, to the score at y1 (y itself), so each
+image is scored twice.
 """
 
 from __future__ import annotations
@@ -49,7 +50,6 @@ from .pipeline import (
     DenoiseCfg,
     DenoiseReport,
     blind_estimate,
-    denoise_estimated,
     denoise_known,
     posterior_mean_field,
 )
@@ -84,7 +84,7 @@ _SCHEMA = {
     "synth": {"kind": str, "height": int, "width": int, "regions": int, "count": int, "prior": dict},
     "synth.prior": {"weights": [_NUMBER], "means": [_NUMBER], "stds": [_NUMBER]},
     "noise": {"model": str, "level": _NUMBER},
-    "estimation": {"eps": _NUMBER, "mask_eps": _NUMBER, "rho_assumed": _NUMBER, "pooled": bool},
+    "estimation": {"eps": _NUMBER, "mask_eps": _NUMBER, "pooled": bool},  # DenoiseCfg's but seed, and pooled
     "ardae": {  # the ArdaeConfig fields but its seed
         "sigma_a_max": _NUMBER, "sigma_a_min": _NUMBER, "schedule_len": int, "ema_decay": _NUMBER,
         "epochs": int, "batch_size": int, "lr": _NUMBER, "lr_decay_epoch": (int, type(None)),
@@ -187,18 +187,18 @@ def parse_config(path) -> dict:
         level = float(noise["level"])
         if kind is ModelKind.GAUSSIAN:
             level = level / 255.0  # sigma given on the 8-bit scale
-        NoiseModel(kind, level).validate()  # finite and positive, Gamma k > 1
+        NoiseModel(kind, level)  # finite and positive, Gamma k > 1
         cfg["noise_kind"] = kind
         cfg["noise_level"] = level  # natural units: sigma | zeta | k
 
     est = _section(raw.get("estimation", {}), "estimation")
     cfg["estimation"] = {k: float(v) for k, v in est.items() if k != "pooled"}
-    DenoiseCfg(**cfg["estimation"]).validate()
+    DenoiseCfg(**cfg["estimation"])
     cfg["pooled"] = est.get("pooled", False)
 
     ar = _section(raw.get("ardae", {}), "ardae")
     cfg["ardae"] = dict(ar, hidden=tuple(ar["hidden"])) if "hidden" in ar else ar
-    ArdaeConfig(**cfg["ardae"]).validate()
+    ArdaeConfig(**cfg["ardae"])
 
     sb = cfg["score_backend"] = raw.get("score_backend", "oracle-gaussian")
     if sb.startswith("ardae:"):
@@ -247,8 +247,13 @@ def _load_manifest(out_dir: Path):
     manifest = _section(_read_json(out_dir / "manifest.json", "manifest"), "manifest", "model", "level", "images")
     if not manifest["images"]:
         raise ValidationError("manifest lists no images")
-    for im in manifest["images"]:
-        _section(im, "manifest image", "index", "clean", "noisy")
+    indices = [_section(im, "manifest image", "index", "clean", "noisy")["index"] for im in manifest["images"]]
+    if min(indices) < 0 or len(set(indices)) < len(indices):  # an index keys its probe seed and its files
+        raise ValidationError(f"manifest image indices must be distinct and non-negative, got {indices}")
+    try:  # a known family, its level in natural units
+        NoiseModel(manifest["model"], manifest["level"])
+    except ValueError as exc:  # DomainError, or ModelKind's own for an unknown name
+        raise ValidationError(f"manifest model {manifest['model']!r} at level {manifest['level']!r}: {exc}") from exc
     return manifest
 
 
@@ -364,7 +369,8 @@ def _denoise_batch(cfg, save_tensors: bool) -> int:
         if report.error:
             log.warning("image %s blind path failed: %s", im["index"], report.error)
         else:
-            xb, _ = denoise_estimated(y, s1, report.model_estimate, report.level_estimate)
+            estimated = NoiseModel(report.model_estimate.classified, report.level_estimate.value)
+            xb = denoise_known(y, estimated, lambda _: s1)
             row["blind"] = psnr(x, xb)
             if save_tensors:
                 save_tensor(out / f"denoised_{im['index']:03d}.f32", xb)

@@ -6,11 +6,11 @@ the same backend.
 
 Model index.  With a = log(y2/y1), b = 2*y1*s1, w = 2*y2*s2 - 2*y1*s1, any
 Tweedie model satisfies a*(rho - 2)*(rho + b) + w ~= 0 at each pixel up to
-probe-order terms.  Pixels are first masked to |w / (rho_assumed + b)| <=
-mask_eps (w vanishes at the true rho, so small values flag pixels where the
-probe stayed in the linear regime); w and b are then reduced to scalar
-means over the mask, the per-pixel quadratic (keeping the full a field) is
-solved, each root is averaged ignoring non-finite entries, and
+probe-order terms.  Pixels are first masked to |w / (RHO_ASSUMED + b)| <=
+mask_eps, RHO_ASSUMED = 2.2 (w vanishes at the true rho, so small values flag
+pixels where the probe stayed in the linear regime); w and b are then reduced
+to scalar means over the mask, the per-pixel quadratic (keeping the full a
+field) is solved, each root is averaged ignoring non-finite entries, and
 
     rho_hat = max(mean root 1, mean root 2, 0).
 
@@ -25,7 +25,7 @@ Level.  Given the classified family, per pixel
 
 with pixels excluded when the relevant denominator magnitude is below
 1e-12 or the radicand is negative, and the median of the survivors
-reported.
+reported if a NoiseModel takes it (Gamma needs k > 1).
 
 A group of images is estimated as one pool: the pair's fields and the score
 fields are then Pools of each image's arrays, read in order and never copied
@@ -46,11 +46,11 @@ import numpy as np
 from .errors import DomainError, EstimationFailure
 from .scores import Pool, ScoreField
 from .simulate import rng_for
-from .tweedie import EPS_Y, ModelKind
+from .tweedie import EPS_Y, ModelKind, NoiseModel
 
 DEFAULT_EPS = 1e-5
 DEFAULT_MASK_EPS = 1e-5
-DEFAULT_RHO_ASSUMED = 2.2
+RHO_ASSUMED = 2.2  # the constant of the mask rule
 LEVEL_DENOM_FLOOR = 1e-12
 LEVEL_QUORUM = 16
 BLOCK = 1 << 15  # pixels per block of the estimators' elementwise work
@@ -117,7 +117,6 @@ def estimate_rho(
     s1: ScoreField,
     s2: ScoreField,
     mask_eps: float = DEFAULT_MASK_EPS,
-    rho_assumed: float = DEFAULT_RHO_ASSUMED,
 ) -> ModelEstimate:
     n = pair.y1.size
     buf, masks = np.empty(n), []  # every gather below reuses buf; masks are kept for the gather of b
@@ -127,7 +126,7 @@ def estimate_rho(
             b = 2.0 * y1 * v1
             w = 2.0 * y2 * v2 - b
             with np.errstate(all="ignore"):
-                ww = w / (rho_assumed + b)
+                ww = w / (RHO_ASSUMED + b)
             masks.append(np.isfinite(ww) & (np.abs(ww) <= mask_eps))
             yield w[masks[-1]]
 
@@ -210,8 +209,10 @@ def estimate_level(
     below = [int(x) for x in at]
     vals.partition(sorted({(n - 1) // 2, n // 2, *below, *(i + 1 for i in below)}))
     value = float(vals[(n - 1) // 2:n // 2 + 1].mean())  # the middle value, or the middle two's mean
-    if not np.isfinite(value) or value <= 0:
-        raise EstimationFailure(f"degenerate {kind.value} level estimate {value!r}")
+    try:
+        NoiseModel(kind, value)  # finite and positive, Gamma k > 1
+    except DomainError:
+        raise EstimationFailure(f"degenerate {kind.value} level estimate {value!r}") from None
     q75, q25 = (_lerp(vals[i], vals[i + 1], x - i) for x, i in zip(at, below))
     return LevelEstimate(kind=kind.value, value=value, pixel_count=n, iqr=float(q75 - q25))
 

@@ -22,7 +22,6 @@ from .errors import DomainError, EstimationFailure, QuadratureError, ValidationE
 from .estimate import (
     DEFAULT_EPS,
     DEFAULT_MASK_EPS,
-    DEFAULT_RHO_ASSUMED,
     UNKNOWN,
     LevelEstimate,
     ModelEstimate,
@@ -40,17 +39,13 @@ from .tweedie import EPS_Y, ModelKind, NoiseModel, denoise_field
 class DenoiseCfg:
     eps: float = DEFAULT_EPS
     mask_eps: float = DEFAULT_MASK_EPS
-    rho_assumed: float = DEFAULT_RHO_ASSUMED
     seed: int = 0
 
-    def validate(self) -> "DenoiseCfg":
+    def __post_init__(self):
         if self.eps <= 0 or not np.isfinite(self.eps):
             raise ValidationError(f"perturbation eps must be positive, got {self.eps} (y2 must differ from y1)")
         if self.mask_eps <= 0 or not np.isfinite(self.mask_eps):
             raise ValidationError(f"mask_eps must be positive and finite, got {self.mask_eps}")
-        if not np.isfinite(self.rho_assumed):
-            raise ValidationError(f"rho_assumed must be finite, got {self.rho_assumed}")
-        return self
 
 
 @dataclass
@@ -95,7 +90,6 @@ def blind_estimate(ys, score_backend, cfg: DenoiseCfg):
     its report carries the y1 scores, the probe seed, the message as
     ``error`` and the model estimate when there is one.
     """
-    cfg.validate()
     pairs, f1, v2 = [], [], []
     for i, y in enumerate(ys):
         pairs.append(perturb(y, cfg.eps, cfg.seed + i))
@@ -108,7 +102,7 @@ def blind_estimate(ys, score_backend, cfg: DenoiseCfg):
     s1, s2 = ScoreField(Pool(s.values for s in f1), backend), ScoreField(Pool(v2), backend)
     report = DenoiseReport(backend=backend, y1_scores=f1, seed=cfg.seed)
     try:
-        me = estimate_rho(pooled, s1, s2, mask_eps=cfg.mask_eps, rho_assumed=cfg.rho_assumed)
+        me = estimate_rho(pooled, s1, s2, mask_eps=cfg.mask_eps)
         report.model_estimate = me
         if me.classified == UNKNOWN:
             raise EstimationFailure(f"rho_hat={me.rho_hat:.3f} classified as unknown; no level estimator applies")
@@ -120,22 +114,12 @@ def blind_estimate(ys, score_backend, cfg: DenoiseCfg):
     return me, le, pairs, f1
 
 
-def denoise_estimated(y1, s1: ScoreField, me: ModelEstimate, le: LevelEstimate):
-    """The estimated family's formula at a probe point y1 whose score s1 the
-    estimate already evaluated, clamped to [EPS_Y, 1]; returns
-    (xhat, DenoiseReport)."""
-    model = NoiseModel(ModelKind(me.classified), le.value)
-    xhat, n_singular = denoise_field(y1, model, s1.values)
-    report = DenoiseReport(backend=s1.backend, model_estimate=me, level_estimate=le, n_singular=n_singular)
-    return np.clip(xhat, EPS_Y, 1.0), report
-
-
 def denoise_blind(y, score_backend, cfg: DenoiseCfg = DenoiseCfg()):
-    """Blind denoising of a single image; returns (xhat, DenoiseReport)."""
+    """Blind denoising of a single image: the estimated model's formula at y1, with the
+    score the estimate evaluated there, clamped to [EPS_Y, 1]; returns (xhat, DenoiseReport)."""
     me, le, pairs, f1 = blind_estimate([y], score_backend, cfg)
-    xhat, report = denoise_estimated(pairs[0].y1, f1[0], me, le)
-    report.y1_scores, report.seed = f1, cfg.seed
-    return xhat, report
+    xhat, n_singular = denoise_field(pairs[0].y1, NoiseModel(me.classified, le.value), f1[0].values)
+    return np.clip(xhat, EPS_Y, 1.0), DenoiseReport(f1[0].backend, me, le, n_singular, y1_scores=f1, seed=cfg.seed)
 
 
 def denoise_known(y, model: NoiseModel, score_backend):
@@ -175,18 +159,16 @@ def brute_posterior_mean(y: float, prior: GmmPrior, model: NoiseModel) -> float:
     approximation this oracle must stay independent of.
     """
     from scipy.special import gammaln
-    model.validate()
     y = float(y)
     if y <= 0:
         raise DomainError(f"y must be positive, got {y}")
-    kind = ModelKind(model.kind)
-    if kind is ModelKind.GAUSSIAN:
+    if model.kind is ModelKind.GAUSSIAN:
         sig2 = model.level
 
         def loglik(x):
             return -0.5 * ((y - x) ** 2 / sig2 + np.log(2 * np.pi * sig2))
 
-    elif kind is ModelKind.POISSON:
+    elif model.kind is ModelKind.POISSON:
         zeta = model.level
         n = y / zeta
         if abs(n - round(n)) > 1e-9 * max(1.0, abs(n)):
@@ -227,10 +209,8 @@ def posterior_mean_field(y, prior: GmmPrior, model: NoiseModel):
     (:func:`scores.posterior_moment`; agrees with
     :func:`brute_posterior_mean` to quadrature accuracy).
     """
-    model.validate()
     y = np.asarray(y, dtype=np.float64)
-    kind = ModelKind(model.kind)
-    if kind is ModelKind.GAUSSIAN:
+    if model.kind is ModelKind.GAUSSIAN:
         # per component the conjugate mean m_j + s_j^2 / v_j * (y - m_j)
         return gaussian_posterior(y, prior, model.level, np.square(prior.stds), prior.means)
     return posterior_moment(y, prior, model, 2 * QUAD_ORDER, 1)

@@ -157,17 +157,16 @@ def quadrature_posterior(y, prior: GmmPrior, model: NoiseModel, order: int, slop
     d2E[v|y]/dy2 = k(v, d, d), the third joint cumulant, so the same product
     takes six more columns, v*d and v*d^2 for v = 1, f, x."""
     xs, logws = _component_nodes(prior, order)
-    kind = ModelKind(model.kind)
-    if kind is ModelKind.POISSON:
+    if model.kind is ModelKind.POISSON:
         zeta = model.level
         f = np.log(xs / zeta)
         c, d = logws - xs / zeta, f / zeta
-    elif kind is ModelKind.GAMMA:
+    elif model.kind is ModelKind.GAMMA:
         k = model.level
         f = 1.0 / xs
         c, d = logws + k * np.log(k / xs), -k * f
     else:
-        raise DomainError(f"quadrature oracle only covers Poisson/Gamma, got {kind}")
+        raise DomainError(f"quadrature oracle only covers Poisson/Gamma, got {model.kind}")
     dc, cols = np.stack([d, c]), [np.ones_like(xs), f, xs]
     if slopes:
         dm = d - d.mean()  # cumulants are unmoved by a shift of d; centring keeps their digits
@@ -242,7 +241,7 @@ def posterior_table(prior: GmmPrior, model: NoiseModel, order: int) -> Posterior
     t0 = time.perf_counter()
     scale = _score_scale(model)
     x_hi = max(m + QUAD_SPAN * sd for m, sd in zip(prior.means, prior.stds))
-    noise_sd = np.sqrt(model.level * x_hi) if ModelKind(model.kind) is ModelKind.POISSON else x_hi / np.sqrt(model.level)
+    noise_sd = np.sqrt(model.level * x_hi) if model.kind is ModelKind.POISSON else x_hi / np.sqrt(model.level)
     top, step = x_hi + QUAD_SPAN * noise_sd, TABLE_STEP
     while True:
         ys = EPS_Y + step * np.arange(int(np.ceil((top - EPS_Y) / step)) + 1)
@@ -263,7 +262,7 @@ def posterior_table(prior: GmmPrior, model: NoiseModel, order: int) -> Posterior
     log.info(
         "quadrature table %s %g, order %d: step %.3g, %d cells, %d failing; over the others the worst order gap"
         " %.2e, midpoint gaps %.2e on the score and %.2e relative on E[x]; built in %.3f s",
-        ModelKind(model.kind).value, model.level, order, step, ok.size, ok.size - np.count_nonzero(ok),
+        model.kind.value, model.level, order, step, ok.size, ok.size - np.count_nonzero(ok),
         *(np.max(g[ok], initial=0.0) for g in (order_gap, *mid_gap)), time.perf_counter() - t0,
     )
     return PosteriorTable(step, coef, ok)
@@ -278,7 +277,7 @@ def posterior_moment(y, prior: GmmPrior, model: NoiseModel, order: int, q: int) 
     :class:`QuadratureError`.  Above the span it is evaluated directly, and
     the score at order//2 and at ``order`` must agree within
     CONVERGENCE_TOL."""
-    y = _checked_domain(y, model)
+    y = _checked_domain(y)
     table = posterior_table(prior, model, order)
     flat, cells = y.ravel(), table.ok.size
     out, above = np.empty_like(flat), np.empty(flat.shape, dtype=bool)
@@ -308,11 +307,11 @@ def posterior_moment(y, prior: GmmPrior, model: NoiseModel, order: int, q: int) 
 
 def _score_scale(model: NoiseModel) -> float:
     """|d score / d E[f | y]|: k for Gamma, 1/zeta for Poisson."""
-    return model.level if ModelKind(model.kind) is ModelKind.GAMMA else 1.0 / model.level
+    return model.level if model.kind is ModelKind.GAMMA else 1.0 / model.level
 
 
 def _score(y, e_f, model: NoiseModel):
-    if ModelKind(model.kind) is ModelKind.POISSON:
+    if model.kind is ModelKind.POISSON:
         from scipy.special import digamma
         zeta = model.level
         return (e_f - digamma(y / zeta + 1.0)) / zeta
@@ -320,8 +319,7 @@ def _score(y, e_f, model: NoiseModel):
     return (k - 1.0) / y - k * e_f
 
 
-def _checked_domain(y, model: NoiseModel) -> np.ndarray:
-    model.validate()
+def _checked_domain(y) -> np.ndarray:
     y = np.asarray(y, dtype=np.float64)
     if not np.all(np.isfinite(y)):
         raise DomainError("y must be finite")
@@ -339,7 +337,7 @@ def numeric_marginal_score(
     E[f | y] comes from ``posterior_moment`` at ``2 * order``, checked
     against ``order``: an unconverged pixel raises :class:`QuadratureError`.
     """
-    y = _checked_domain(y, model)
+    y = _checked_domain(y)
     e_f = posterior_moment(y, prior, model, 2 * order, 0) if check else quadrature_posterior(y, prior, model, order)[0]
     return ScoreField(_score(y, e_f, model), backend="oracle-quadrature")
 

@@ -126,13 +126,11 @@ def sample_noisy(x: np.ndarray, model: NoiseModel, seed: int) -> np.ndarray:
     Var[y|x] = zeta*x.  Gamma: y = x * Gamma(shape=k, rate=k), mean-one
     multiplicative with Var[y|x] = x^2/k.
     """
-    model.validate()
     x = np.asarray(x, dtype=np.float64)
     rng = rng_for(seed, 1)
-    kind = ModelKind(model.kind)
-    if kind is ModelKind.GAUSSIAN:
+    if model.kind is ModelKind.GAUSSIAN:
         y = x + math.sqrt(model.level) * rng.standard_normal(x.shape)
-    elif kind is ModelKind.POISSON:
+    elif model.kind is ModelKind.POISSON:
         try:
             y = model.level * rng.poisson(x / model.level).astype(np.float64)
         except ValueError as exc:  # numpy cannot draw at rates this large

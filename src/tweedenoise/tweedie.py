@@ -66,17 +66,13 @@ class TweedieParams:
     rho: float
     phi: float
 
-    def validate(self, for_density: bool = False) -> "TweedieParams":
+    def __post_init__(self):
         # phi may be an array (one dispersion per pixel); rho stays scalar
         phi = np.asarray(self.phi)
         if not np.isfinite(self.rho) or not np.all(np.isfinite(phi)):
             raise DomainError(f"non-finite Tweedie params {self}")
         if np.any(phi <= 0):
             raise DomainError(f"phi must be positive, got {self.phi}")
-        if for_density and 0.0 < self.rho < 1.0:
-            # no EDM exists on (0,1); such values occur only as estimates
-            raise DomainError(f"rho={self.rho} in (0,1) has no density")
-        return self
 
 
 @dataclass(frozen=True)
@@ -84,19 +80,19 @@ class NoiseModel:
     """A concrete noise family plus its level parameter.
 
     ``level`` is sigma^2 for Gaussian, zeta for Poisson and k for Gamma.
+    Checked when made, with ``kind`` stored as a :class:`ModelKind`.
     """
 
     kind: ModelKind
     level: float
 
-    def validate(self) -> "NoiseModel":
+    def __post_init__(self):
         kind = ModelKind(self.kind)
         if not np.isfinite(self.level) or self.level <= 0:
             raise DomainError(f"level must be finite and positive, got {self.level}")
-        if kind is ModelKind.GAMMA and self.level <= 1:
-            # the denoising formula divides by (k - 1) - y*l'(y)
+        if kind is ModelKind.GAMMA and self.level <= 1:  # the denoising formula divides by (k - 1) - y*l'(y)
             raise DomainError(f"Gamma requires k > 1, got {self.level}")
-        return self
+        object.__setattr__(self, "kind", kind)
 
 
 def _check_positive(name, x):
@@ -139,7 +135,8 @@ def saddle_density(y, params: TweedieParams, mu):
     Computed through the log so that overflow degrades to 0 / +inf
     consistently with the sign of the exponent.
     """
-    params.validate(for_density=True)
+    if 0.0 < params.rho < 1.0:  # no EDM exists on (0,1); such values occur only as estimates
+        raise DomainError(f"rho={params.rho} in (0,1) has no density")
     y = _check_positive("y", y)
     mu = _check_positive("mu", mu)
     d = unit_deviance(y, mu, params.rho)
@@ -150,14 +147,12 @@ def saddle_density(y, params: TweedieParams, mu):
 
 def variance_function(mu, params: TweedieParams):
     """Conditional variance V[mu] = phi * mu**rho."""
-    params.validate()
     mu = _check_positive("mu", mu)
     return params.phi * np.power(mu, params.rho)
 
 
 def alpha_term(y, params: TweedieParams, score):
     """alpha(y, rho, phi) = phi * y^(rho-1) * (rho/(2y) + l'(y))."""
-    params.validate()
     y = _check_positive("y", y)
     score = np.asarray(score, dtype=np.float64)
     return params.phi * np.power(y, params.rho - 1.0) * (params.rho / (2.0 * y) + score)
@@ -195,13 +190,11 @@ def _family_mean(y, model: NoiseModel, score):
     """(y, xhat, denom) of the closed-form family means.  For Gamma, denom
     is (k - 1) - y*l'(y) and xhat divides by it clamped below at
     GAMMA_DENOM_FLOOR; denom is None for the other families."""
-    model.validate()
     y = _check_positive("y", y)
     score = np.asarray(score, dtype=np.float64)
-    kind = ModelKind(model.kind)
-    if kind is ModelKind.GAUSSIAN:
+    if model.kind is ModelKind.GAUSSIAN:
         return y, y + model.level * score, None
-    if kind is ModelKind.POISSON:
+    if model.kind is ModelKind.POISSON:
         with np.errstate(over="ignore"):
             return y, (y + model.level / 2.0) * np.exp(model.level * score), None
     k = model.level

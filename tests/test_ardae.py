@@ -48,7 +48,7 @@ def test_config_validation():
         dict(patch_radius=-1),
     ):
         with pytest.raises(DomainError):
-            ArdaeConfig(**bad).validate()
+            ArdaeConfig(**bad)
     cfg = ArdaeConfig(patch_radius=2, hidden=(32,))
     assert cfg.patch_dim == 25
     assert cfg.layer_sizes == [25, 32, 1]

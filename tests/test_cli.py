@@ -1,5 +1,6 @@
 import contextlib
 import csv
+import dataclasses
 import functools
 import io
 import json
@@ -22,10 +23,11 @@ from tweedenoise import (
     DenoiseCfg,
     EstimationFailure,
     GmmPrior,
+    NoiseModel,
+    ScoreField,
     analytic_score_gaussian,
     blind_estimate,
     denoise_blind,
-    denoise_estimated,
     denoise_known,
     init_mlp,
     load_checkpoint,
@@ -202,6 +204,26 @@ def test_config_error_exit_codes(tmp_path):
     assert run("synth", str(tmp_path / "base.json")) == 0
     manifest.write_text(json.dumps(dict(json.loads(manifest.read_text()), level=HUGE)))
     assert run("estimate", str(tmp_path / "base.json")) == 2
+    # a negative or repeated index (the probe seed is seed + index, the files are named by it), an unknown
+    # family and a level that no noise model takes, in each command that reads the manifest
+    assert run("synth", str(tmp_path / "base.json")) == 0
+    good = json.loads(manifest.read_text())
+    first, second, *rest = good["images"]
+    for edit in (dict(images=[dict(first, index=-1), second, *rest]),
+                 dict(images=[first, dict(second, index=0), *rest]),
+                 dict(model="gaussain"), dict(level=-3), dict(model="gamma", level=1)):
+        manifest.write_text(json.dumps(dict(good, **edit)))
+        for command in ("estimate", "denoise", "eval"):
+            assert run(command, str(tmp_path / "base.json")) == 2, (command, edit)
+
+
+def test_config_sections_name_the_value_types_fields():
+    # the CLI passes these sections into the constructors: a knob added or removed must be so in both
+    def fields(cls):
+        return {f.name for f in dataclasses.fields(cls)} - {"seed"}
+
+    assert set(cli._SCHEMA["estimation"]) == fields(DenoiseCfg) | {"pooled"}
+    assert set(cli._SCHEMA["ardae"]) == fields(ArdaeConfig)
 
 
 def edit_checkpoint(path, header=(), dtype=np.float32, **arrays):
@@ -368,15 +390,17 @@ def test_cli_rows_equal_the_library(tmp_path, pooled):
     _, rows = read_csv(out / "estimates.csv")
     ys = [load_tensor(out / f"noisy_{i:03d}.f32") for i in range(4)]
     backend = lambda v: analytic_score_gaussian(v, PALETTE, SIGMA)
-    if pooled:
+    if pooled:  # the estimated model's formula at each y1, with the score the estimate evaluated there
         me, le, pairs, f1 = blind_estimate(ys, backend, DenoiseCfg(seed=11))
-        expected = [denoise_estimated(p.y1, s1, me, le) for p, s1 in zip(pairs, f1)]
+        estimated = NoiseModel(me.classified, le.value)
+        expected = [(denoise_known(p.y1, estimated, lambda _: s1), me, le) for p, s1 in zip(pairs, f1)]
     else:
-        expected = [denoise_blind(y, backend, DenoiseCfg(seed=11 + i)) for i, y in enumerate(ys)]
-    for i, (row, (xhat, report)) in enumerate(zip(rows, expected)):
-        assert float(row[1]) == report.model_estimate.rho_hat
-        assert row[2] == report.model_estimate.classified
-        assert float(row[3]) == math.sqrt(report.level_estimate.value)
+        blind = [denoise_blind(y, backend, DenoiseCfg(seed=11 + i)) for i, y in enumerate(ys)]
+        expected = [(xhat, report.model_estimate, report.level_estimate) for xhat, report in blind]
+    for i, (row, (xhat, me, le)) in enumerate(zip(rows, expected)):
+        assert float(row[1]) == me.rho_hat
+        assert row[2] == me.classified
+        assert float(row[3]) == math.sqrt(le.value)
         np.testing.assert_array_equal(load_tensor(out / f"denoised_{i:03d}.f32"), xhat.astype(np.float32))
 
 
@@ -520,6 +544,27 @@ def test_eval_writes_table_but_no_tensors(synth_run):
     assert run("eval", cfg_path) == 0
     assert (out / "psnr.csv").exists()
     assert not list(out.glob("denoised_*.f32"))
+
+
+def test_a_gamma_level_no_model_takes_is_a_failed_estimate(tmp_path, monkeypatch):
+    # on these scores the pooled Gamma level estimate is k = 0.36, which the formula cannot take (k > 1)
+    score = lambda y: ScoreField(-0.5 * y - 1.0 / y)
+    monkeypatch.setattr(cli, "make_backend", lambda cfg: score)
+    out = tmp_path / "run"
+    cfg = dict(base_config(out), seed=0, noise={"model": "gamma", "level": 50}, score_backend="oracle-quadrature")
+    cfg["synth"]["count"] = 2
+    cfg_path = write_config(tmp_path, cfg)
+    for command in ("synth", "estimate", "eval"):
+        assert run(command, cfg_path) == 0, command
+    _, rows = read_csv(out / "estimates.csv")
+    assert [r[2:4] for r in rows] == [["gamma", ""]] * 2  # the index estimate, with its level left empty
+    _, rows = read_csv(out / "psnr.csv")
+    assert len(rows) == 2
+    for r in rows:
+        assert r[5].startswith("degenerate gamma level estimate 0.36") and math.isnan(float(r[2]))
+        assert float(r[3]) > 0  # known-level column still filled
+    with pytest.raises(EstimationFailure, match="degenerate gamma level estimate 0.3"):
+        denoise_blind(load_tensor(out / "noisy_000.f32"), score, DenoiseCfg())
 
 
 @pytest.mark.parametrize("pooled", [True, False])

@@ -353,7 +353,7 @@ def whole_array_level(
         raise EstimationFailure(f"only {n} valid pixels for {kind.value} level (quorum {LEVEL_QUORUM})")
     vals = est[keep]
     value = float(np.median(vals))
-    if not np.isfinite(value) or value <= 0:
+    if not np.isfinite(value) or value <= 0 or (kind is ModelKind.GAMMA and value <= 1):  # NoiseModel's rule
         raise EstimationFailure(f"degenerate {kind.value} level estimate {value!r}")
     q75, q25 = np.percentile(vals, [75, 25])
     return LevelEstimate(kind=kind.value, value=value, pixel_count=n, iqr=float(q75 - q25))
@@ -426,10 +426,11 @@ def test_blocked_estimators_match_whole_array_bitwise(monkeypatch, block):
         assert np.isfinite(me.roots).all()  # so == compares both roots
         results.append([n] + [same_outcome(estimate_level, whole_array_level, k, pair, s1, s2) for k in kinds])
     (n, gauss, poisson, gamma, invgauss), (m, h_gauss, h_poisson, h_gamma, _) = results
-    assert all(isinstance(le, LevelEstimate) for le in (gauss, poisson, gamma, h_poisson, h_gamma))
+    assert all(isinstance(le, LevelEstimate) for le in (gauss, poisson, gamma, h_poisson))
     assert poisson.pixel_count < gauss.pixel_count  # negative radicands on the pooled images
     assert h_poisson.pixel_count < m - m // 97 - 1  # and far more on the hostile scores
     assert invgauss[0] == "ValueError" and h_gauss[1].startswith("degenerate gaussian level")
+    assert h_gamma == ("EstimationFailure", "degenerate gamma level estimate 1.0")  # no Gamma k <= 1
     # the other failures keep their conditions and messages too
     pair, s1, s2 = hostile_probe()
     still = perturb(pair.y1, 0.0, seed=33)

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import tracemalloc
 
@@ -6,6 +7,7 @@ import pytest
 
 from tweedenoise import (
     EPS_Y,
+    ArdaeConfig,
     DenoiseCfg,
     DenoiseReport,
     DomainError,
@@ -18,6 +20,7 @@ from tweedenoise import (
     QuadratureError,
     ScoreField,
     SynthSpec,
+    TweedieParams,
     ValidationError,
     analytic_score_gaussian,
     blind_estimate,
@@ -49,14 +52,26 @@ def gaussian_scene(seed_triple=(2, 102, 202)):
 
 def test_cfg_validation():
     with pytest.raises(ValidationError, match="eps"):
-        DenoiseCfg(eps=0.0).validate()
+        DenoiseCfg(eps=0.0)
     for bad in (0.0, float("nan"), float("inf")):
         with pytest.raises(ValidationError, match="mask_eps"):
-            DenoiseCfg(mask_eps=bad).validate()
-    for bad in (float("nan"), float("inf"), -float("inf")):
-        with pytest.raises(ValidationError, match="rho_assumed"):
-            DenoiseCfg(rho_assumed=bad).validate()
-    DenoiseCfg().validate()
+            DenoiseCfg(mask_eps=bad)
+    DenoiseCfg()
+
+
+def test_value_types_check_themselves_when_made():
+    # each raises its error type at construction, before any use; NoiseModel keeps its kind as a ModelKind
+    for make, error in ((lambda: NoiseModel(ModelKind.GAMMA, 1.0), DomainError),
+                        (lambda: TweedieParams(1.5, -0.1), DomainError),
+                        (lambda: DenoiseCfg(eps=0.0), ValidationError),
+                        (lambda: ArdaeConfig(batch_size=1), DomainError)):
+        with pytest.raises(error):
+            make()
+    assert NoiseModel("gamma", 50.0).kind is ModelKind.GAMMA
+    with pytest.raises(ValueError):
+        NoiseModel("gaussain", 0.01)  # ModelKind's own error for an unknown name
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        ArdaeConfig().epochs = 1
 
 
 def test_blind_gaussian_recovers_model_and_gains_psnr():

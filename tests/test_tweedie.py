@@ -239,20 +239,20 @@ def test_poisson_special_approximates_universal_form():
 
 def test_noise_model_validation():
     with pytest.raises(DomainError):
-        NoiseModel(ModelKind.GAUSSIAN, 0.0).validate()
+        NoiseModel(ModelKind.GAUSSIAN, 0.0)
     with pytest.raises(DomainError):
-        NoiseModel(ModelKind.GAMMA, 1.0).validate()  # formula divides by k-1
-    NoiseModel(ModelKind.GAMMA, 50.0).validate()
+        NoiseModel(ModelKind.GAMMA, 1.0)  # formula divides by k-1
+    NoiseModel(ModelKind.GAMMA, 50.0)
 
 
 def test_params_validation():
     with pytest.raises(DomainError):
-        TweedieParams(1.5, -0.1).validate()
+        TweedieParams(1.5, -0.1)
     with pytest.raises(DomainError):
-        TweedieParams(np.nan, 0.1).validate()
-    TweedieParams(0.3, 0.1).validate()  # estimates in (0,1) are fine...
-    with pytest.raises(DomainError):
-        TweedieParams(0.3, 0.1).validate(for_density=True)  # ...densities are not
+        TweedieParams(np.nan, 0.1)
+    params = TweedieParams(0.3, 0.1)  # estimates in (0,1) are fine...
+    with pytest.raises(DomainError, match="no density"):
+        saddle_density(0.5, params, 0.5)  # ...densities are not
 
 
 # ---------------------------------------------------------------------------
