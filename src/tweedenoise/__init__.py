@@ -75,7 +75,6 @@ from .tweedie import (
     posterior_mean_universal,
     saddle_density,
     unit_deviance,
-    variance_function,
 )
 
 __version__ = "0.1.0"

@@ -59,7 +59,6 @@ class ArdaeConfig:
     epochs: int = 100
     batch_size: int = 4096
     lr: float = 2e-4
-    lr_decay_epoch: int | None = None  # defaults to epochs // 2
     patch_radius: int = 4
     hidden: tuple = (128, 128)
     seed: int = 0
@@ -298,7 +297,6 @@ def train_ardae(config: ArdaeConfig, data) -> tuple:
     params = init_mlp(config.layer_sizes, config.seed)
     history = []
     schedule = geometric_schedule(config.sigma_a_max, config.sigma_a_min, config.schedule_len)
-    decay_at = config.lr_decay_epoch if config.lr_decay_epoch is not None else config.epochs // 2
     rng = np.random.default_rng(np.random.SeedSequence([int(config.seed), 12]))
     state = {
         "w": [(np.zeros_like(w), np.zeros_like(w)) for w in params.weights],
@@ -308,7 +306,7 @@ def train_ardae(config: ArdaeConfig, data) -> tuple:
     m = config.ema_decay
     t = 0
     for epoch in range(config.epochs):
-        lr = config.lr / 10.0 if epoch >= decay_at else config.lr
+        lr = config.lr / 10.0 if epoch >= config.epochs // 2 else config.lr
         perm = rng.permutation(n_rows)
         losses = []
         for lo in range(0, n_rows, config.batch_size):

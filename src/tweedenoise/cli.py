@@ -87,8 +87,7 @@ _SCHEMA = {
     "estimation": {"eps": _NUMBER, "mask_eps": _NUMBER, "pooled": bool},  # DenoiseCfg's but seed, and pooled
     "ardae": {  # the ArdaeConfig fields but its seed
         "sigma_a_max": _NUMBER, "sigma_a_min": _NUMBER, "schedule_len": int, "ema_decay": _NUMBER,
-        "epochs": int, "batch_size": int, "lr": _NUMBER, "lr_decay_epoch": (int, type(None)),
-        "patch_radius": int, "hidden": [int],
+        "epochs": int, "batch_size": int, "lr": _NUMBER, "patch_radius": int, "hidden": [int],
     },
     "manifest": {"schema_version": int, "model": str, "level": _NUMBER, "images": [dict]},
     "manifest image": {"index": int, "clean": str, "noisy": str, "noise_seed": int},
@@ -248,8 +247,8 @@ def _load_manifest(out_dir: Path):
     if not manifest["images"]:
         raise ValidationError("manifest lists no images")
     indices = [_section(im, "manifest image", "index", "clean", "noisy")["index"] for im in manifest["images"]]
-    if min(indices) < 0 or len(set(indices)) < len(indices):  # an index keys its probe seed and its files
-        raise ValidationError(f"manifest image indices must be distinct and non-negative, got {indices}")
+    if indices != list(range(len(indices))):  # an index is its position: pooled or not, it keys the probe seed
+        raise ValidationError(f"manifest image indices must be 0, 1, ..., n-1 in order, got {indices}")
     try:  # a known family, its level in natural units
         NoiseModel(manifest["model"], manifest["level"])
     except ValueError as exc:  # DomainError, or ModelKind's own for an unknown name
@@ -325,7 +324,7 @@ def _blind_images(cfg, out: Path, images, backend):
         try:
             me, le, pairs, f1 = blind_estimate(ys, backend, group_cfg)
             report = DenoiseReport(f1[0].backend, me, le, y1_scores=f1, seed=group_cfg.seed)
-            del pairs, f1  # frees y2 and u before the next group is scored
+            del pairs, f1  # frees y2 before the next group is scored
         except EstimationFailure as exc:
             report = exc.report
         for im, y, s1 in zip(group, ys, report.y1_scores):

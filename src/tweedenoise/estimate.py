@@ -1,8 +1,10 @@
 """Blind noise-model and noise-level estimation from one noisy image.
 
-Everything rests on a tiny additive probe: y2 = y1 + eps*u with u standard
-normal and eps ~ 1e-5, plus the score fields s1 = l'(y1), s2 = l'(y2) from
-the same backend.
+Everything rests on a tiny additive probe: y2 = max(y1 + eps*u, EPS_Y) with
+u standard normal and eps ~ 1e-5, plus the score fields s1 = l'(y1),
+s2 = l'(y2) from the same backend.  The probe is the two images y1 and y2;
+u is not kept, and every estimator reads the step dy = y2 - y1 that the
+score saw (exact in float64 at this eps, clamp included).
 
 Model index.  With a = log(y2/y1), b = 2*y1*s1, w = 2*y2*s2 - 2*y1*s1, any
 Tweedie model satisfies a*(rho - 2)*(rho + b) + w ~= 0 at each pixel up to
@@ -19,13 +21,14 @@ Gamma, else unknown.
 
 Level.  Given the classified family, per pixel
 
-    Gaussian  sigma^2 = -eps*u / (s2 - s1)
-    Poisson   zeta    = -y1 + sqrt(y1^2 - 2c),  c = eps*u / (s2 - s1)
+    Gaussian  sigma^2 = -dy / (s2 - s1)
+    Poisson   zeta    = -y1 + sqrt(y1^2 - 2c),  c = dy / (s2 - s1)
     Gamma     k       = 1 + (s2 - s1) / (1/y2 - 1/y1)
 
-with pixels excluded when the relevant denominator magnitude is below
-1e-12 or the radicand is negative, and the median of the survivors
-reported if a NoiseModel takes it (Gamma needs k > 1).
+with pixels excluded when the probe did not move them (dy = 0; a patch
+score's s2 - s1 need not vanish there), when the relevant denominator
+magnitude is below 1e-12 or when the radicand is negative, and the median
+of the survivors reported if a NoiseModel takes it (Gamma needs k > 1).
 
 A group of images is estimated as one pool: the pair's fields and the score
 fields are then Pools of each image's arrays, read in order and never copied
@@ -60,13 +63,11 @@ UNKNOWN = "unknown"
 
 @dataclass(frozen=True)
 class PerturbationPair:
-    """y2 = y1 + eps*u (then clamped at EPS_Y); u stored pre-clamp.  A pooled
-    group's pair holds a Pool of each image's arrays in every field."""
+    """The probe: y1 and y2 = max(y1 + eps*u, EPS_Y).  A pooled group's pair
+    holds a Pool of each image's arrays in both fields."""
 
     y1: np.ndarray
     y2: np.ndarray
-    u: np.ndarray
-    eps: float
 
 
 @dataclass(frozen=True)
@@ -87,13 +88,12 @@ class LevelEstimate:
 
 
 def perturb(y1: np.ndarray, eps: float, seed: int) -> PerturbationPair:
-    """Draw the probe pair; eps = 0 degenerates to y2 = y1 exactly."""
+    """The probe pair y1, max(y1 + eps*u, EPS_Y) with u standard normal from
+    ``rng_for(seed, 2)``, not kept; eps = 0 degenerates to y2 = y1 exactly."""
     if eps < 0 or not np.isfinite(eps):
         raise DomainError(f"eps must be nonnegative, got {eps}")
     y1 = np.asarray(y1, dtype=np.float64)
-    u = rng_for(seed, 2).standard_normal(y1.shape)
-    y2 = np.maximum(y1 + eps * u, EPS_Y)
-    return PerturbationPair(y1, y2, u, float(eps))
+    return PerturbationPair(y1, np.maximum(y1 + eps * rng_for(seed, 2).standard_normal(y1.shape), EPS_Y))
 
 
 def _blocks(*fields):
@@ -182,15 +182,15 @@ def estimate_level(
     kind = ModelKind(kind)
 
     def kept():  # the kept per-pixel estimates, block by block
-        for y1, y2, u, v1, v2 in _blocks(pair.y1, pair.y2, pair.u, s1.values, s2.values):
-            ds, eu = v2 - v1, pair.eps * u
+        for y1, y2, v1, v2 in _blocks(pair.y1, pair.y2, s1.values, s2.values):
+            ds, dy = v2 - v1, y2 - y1
             with np.errstate(all="ignore"):
                 if kind is ModelKind.GAUSSIAN:
-                    est = -eu / ds
-                    keep = np.abs(ds) >= LEVEL_DENOM_FLOOR
+                    est = -dy / ds
+                    keep = (np.abs(ds) >= LEVEL_DENOM_FLOOR) & (dy != 0)
                 elif kind is ModelKind.POISSON:
-                    radicand = y1**2 - 2.0 * (eu / ds)
-                    keep = (np.abs(ds) >= LEVEL_DENOM_FLOOR) & (radicand >= 0)
+                    radicand = y1**2 - 2.0 * (dy / ds)
+                    keep = (np.abs(ds) >= LEVEL_DENOM_FLOOR) & (dy != 0) & (radicand >= 0)
                     est = -y1 + np.sqrt(np.where(keep, radicand, 0.0))
                 else:
                     dinv = 1.0 / y2 - 1.0 / y1

@@ -97,7 +97,7 @@ def blind_estimate(ys, score_backend, cfg: DenoiseCfg):
         v2.append(score_backend(pairs[-1].y2).values)
     if not pairs:
         raise ValidationError("no images to estimate")
-    pooled = PerturbationPair(*(Pool(getattr(p, k) for p in pairs) for k in ("y1", "y2", "u")), pairs[0].eps)
+    pooled = PerturbationPair(Pool(p.y1 for p in pairs), Pool(p.y2 for p in pairs))
     backend = f1[0].backend
     s1, s2 = ScoreField(Pool(s.values for s in f1), backend), ScoreField(Pool(v2), backend)
     report = DenoiseReport(backend=backend, y1_scores=f1, seed=cfg.seed)

@@ -145,12 +145,6 @@ def saddle_density(y, params: TweedieParams, mu):
         return np.exp(log_norm - d / (2.0 * params.phi))
 
 
-def variance_function(mu, params: TweedieParams):
-    """Conditional variance V[mu] = phi * mu**rho."""
-    mu = _check_positive("mu", mu)
-    return params.phi * np.power(mu, params.rho)
-
-
 def alpha_term(y, params: TweedieParams, score):
     """alpha(y, rho, phi) = phi * y^(rho-1) * (rho/(2y) + l'(y))."""
     y = _check_positive("y", y)

@@ -148,6 +148,7 @@ def test_config_error_exit_codes(tmp_path):
     c = base_config(out); c["synth"]["height"] = "abc"; cases.append(("synth", c))
     c = base_config(out); c["estimation"] = {"eps": "x"}; cases.append(("synth", c))
     c = base_config(out); c["ardae"] = {"hidden": 5}; cases.append(("synth", c))
+    c = base_config(out); c["ardae"] = {"lr_decay_epoch": 2}; cases += [("synth", c), ("train", c)]  # a removed knob
     # JSON's NaN and Infinity
     nan, inf = float("nan"), float("inf")
     for section, key, value in (("estimation", "mask_eps", nan), ("estimation", "mask_eps", inf),
@@ -204,13 +205,16 @@ def test_config_error_exit_codes(tmp_path):
     assert run("synth", str(tmp_path / "base.json")) == 0
     manifest.write_text(json.dumps(dict(json.loads(manifest.read_text()), level=HUGE)))
     assert run("estimate", str(tmp_path / "base.json")) == 2
-    # a negative or repeated index (the probe seed is seed + index, the files are named by it), an unknown
-    # family and a level that no noise model takes, in each command that reads the manifest
+    # indices that are not 0, 1, ..., n-1 in order: negative, repeated, swapped or with a gap (a per-image run
+    # probes image i with seed + index, a pooled one with seed + position), an unknown family and a level that
+    # no noise model takes, in each command that reads the manifest
     assert run("synth", str(tmp_path / "base.json")) == 0
     good = json.loads(manifest.read_text())
     first, second, *rest = good["images"]
     for edit in (dict(images=[dict(first, index=-1), second, *rest]),
                  dict(images=[first, dict(second, index=0), *rest]),
+                 dict(images=[dict(first, index=1), dict(second, index=0), *rest]),
+                 dict(images=[first, dict(second, index=2)]),
                  dict(model="gaussain"), dict(level=-3), dict(model="gamma", level=1)):
         manifest.write_text(json.dumps(dict(good, **edit)))
         for command in ("estimate", "denoise", "eval"):

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -21,6 +23,7 @@ from tweedenoise import (
     gen_clean,
     numeric_marginal_score,
     perturb,
+    rng_for,
     sample_noisy,
 )
 from tweedenoise import estimate as estimate_module
@@ -55,16 +58,18 @@ def test_perturb_is_deterministic_and_additive():
     y = rng.uniform(0.3, 0.9, (16, 16))
     a = perturb(y, 1e-5, seed=4)
     b = perturb(y, 1e-5, seed=4)
-    np.testing.assert_array_equal(a.u, b.u)
+    np.testing.assert_array_equal(a.y2, b.y2)
     # far from the floor nothing clamps, so the probe is exactly additive
-    np.testing.assert_array_equal(a.y2, y + 1e-5 * a.u)
-    assert not np.array_equal(a.u, perturb(y, 1e-5, seed=5).u)
+    np.testing.assert_array_equal(a.y2, y + 1e-5 * rng_for(4, 2).standard_normal(y.shape))
+    assert not np.array_equal(a.y2, perturb(y, 1e-5, seed=5).y2)
 
 
 def test_perturb_stores_preclamp_noise():
+    # the pair is the two images: y2 is y1 plus the rng_for(seed, 2) draw, clamped at EPS_Y, and the draw is not kept
     y = np.full(4096, EPS_Y)
     pair = perturb(y, 1e-2, seed=6)
-    assert np.min(pair.u) < 0  # raw draw kept even where y2 got clamped
+    assert [f.name for f in dataclasses.fields(pair)] == ["y1", "y2"]
+    np.testing.assert_array_equal(pair.y2, np.maximum(y + 1e-2 * rng_for(6, 2).standard_normal(y.size), EPS_Y))
     assert np.min(pair.y2) >= EPS_Y
     assert np.count_nonzero(pair.y2 == EPS_Y) > 1000
     with pytest.raises(DomainError):
@@ -139,9 +144,8 @@ def test_constructed_scores_pick_consistent_root():
     # and the plus branch is 2 at every pixel
     rng = np.random.default_rng(13)
     y1 = rng.uniform(0.3, 0.9, 2048)
-    u = np.abs(rng.standard_normal(y1.size))
-    y2 = y1 + 1e-5 * u
-    pair = PerturbationPair(y1, y2, u, 1e-5)
+    y2 = y1 + 1e-5 * np.abs(rng.standard_normal(y1.size))
+    pair = PerturbationPair(y1, y2)
     me = estimate_rho(pair, ScoreField(0.5 / y1), ScoreField(0.5 / y2))
     assert me.rho_hat == pytest.approx(2.0, abs=1e-9)
     assert me.classified == "gamma"
@@ -242,11 +246,42 @@ def test_poisson_negative_radicand_pixels_are_excluded():
     n = 1024
     y1 = np.full(n, 0.1)
     pair = perturb(y1, 1e-3, seed=20)
-    eu = pair.eps * pair.u
     c = np.where(np.arange(n) % 2 == 0, -1e-3, 1e-2)  # +1e-2 > y1^2/2 = 5e-3
-    le = estimate_level("poisson", pair, ScoreField(np.zeros(n)), ScoreField(eu / c))
+    le = estimate_level("poisson", pair, ScoreField(np.zeros(n)), ScoreField((pair.y2 - pair.y1) / c))
     assert le.pixel_count == n // 2
     assert le.value == pytest.approx(-0.1 + np.sqrt(0.01 + 2e-3), rel=1e-9)
+
+
+def test_level_reads_the_step_the_score_saw():
+    # flat images at the floor, where the clamp at EPS_Y moves a share of the probes, scored exactly: the
+    # per-pixel level is -dy / ds = sigma^2 at every pixel only if dy is the step from y1 to the clamped y2.
+    # float32(EPS_Y) lies 2.5e-12 below EPS_Y, so there the clamp moves a pixel up whatever u's sign
+    sig2 = 0.01
+    score = lambda v: ScoreField(-(v - 0.5) / sig2)
+    pairs = [perturb(np.full((64, 64), y), 1e-5, seed=3) for y in (EPS_Y + 5e-6, float(np.float32(EPS_Y)))]
+    assert 0.2 < np.mean(pairs[0].y2 == EPS_Y) < 0.4  # about 31 % of the probes clamp
+    above, at = (estimate_level("gaussian", p, score(p.y1), score(p.y2)) for p in pairs)
+    assert above.pixel_count == at.pixel_count == 64 * 64
+    assert above.iqr <= 1e-9 * above.value and above.value == pytest.approx(sig2, rel=1e-9)
+    assert at.iqr <= 1e-4 * at.value
+
+
+@pytest.mark.parametrize("kind", ["gaussian", "poisson", "gamma"])
+def test_level_leaves_out_unmoved_pixels(kind):
+    # a quarter of the pixels did not move (y2 == y1) although the score did (s2 - s1 = 1), as a patch score's
+    # may when a pixel's neighbours move: they are no pixels of the level, which is the level without them
+    rng = np.random.default_rng(25)
+    n = 4096
+    y1 = rng.uniform(0.3, 0.9, n)
+    y2 = y1 + 1e-5 * rng.standard_normal(n)
+    v1 = rng.normal(0.0, 3.0, n)
+    v2 = v1 - (y2 - y1) / rng.uniform(0.005, 0.02, n)  # per-pixel Gaussian levels 0.005-0.02
+    moved = np.arange(n) % 4 != 0
+    y2[~moved], v2[~moved] = y1[~moved], v1[~moved] + 1.0
+    le = estimate_level(kind, PerturbationPair(y1, y2), ScoreField(v1), ScoreField(v2))
+    assert le.pixel_count == n - n // 4
+    assert le == estimate_level(kind, PerturbationPair(y1[moved], y2[moved]), ScoreField(v1[moved]),
+                                ScoreField(v2[moved]))
 
 
 def test_level_quorum_failure():
@@ -261,9 +296,8 @@ def test_level_negative_median_failure():
     rng = np.random.default_rng(22)
     y1 = rng.uniform(0.3, 0.9, 256)
     pair = perturb(y1, 1e-5, seed=23)
-    eu = pair.eps * pair.u
-    with pytest.raises(EstimationFailure, match="degenerate"):
-        estimate_level("gaussian", pair, ScoreField(np.zeros(256)), ScoreField(eu))
+    with pytest.raises(EstimationFailure, match="degenerate"):  # -dy / ds = -1 at every pixel
+        estimate_level("gaussian", pair, ScoreField(np.zeros(256)), ScoreField(pair.y2 - pair.y1))
 
 
 def test_level_rejects_unknown_kind():
@@ -333,15 +367,15 @@ def whole_array_level(
     kind = ModelKind(kind)
     y1, y2 = pair.y1, pair.y2
     ds = s2.values - s1.values
-    eu = pair.eps * pair.u
+    dy = y2 - y1
     with np.errstate(all="ignore"):
         if kind is ModelKind.GAUSSIAN:
-            est = -eu / ds
-            keep = np.abs(ds) >= LEVEL_DENOM_FLOOR
+            est = -dy / ds
+            keep = (np.abs(ds) >= LEVEL_DENOM_FLOOR) & (dy != 0)
         elif kind is ModelKind.POISSON:
-            c = eu / ds
+            c = dy / ds
             radicand = y1**2 - 2.0 * c
-            keep = (np.abs(ds) >= LEVEL_DENOM_FLOOR) & (radicand >= 0)
+            keep = (np.abs(ds) >= LEVEL_DENOM_FLOOR) & (dy != 0) & (radicand >= 0)
             est = -y1 + np.sqrt(np.where(keep, radicand, 0.0))
         else:
             dinv = 1.0 / y2 - 1.0 / y1
@@ -371,7 +405,7 @@ def as_images(args):
 
     def split(a):
         if isinstance(a, PerturbationPair):
-            return PerturbationPair(images(a.y1), images(a.y2), images(a.u), a.eps)
+            return PerturbationPair(images(a.y1), images(a.y2))
         return ScoreField(images(a.values)) if isinstance(a, ScoreField) else a
 
     return [split(a) for a in args]
@@ -397,15 +431,17 @@ def pooled_gaussian_probe(n_images=5, size=128):
     model = NoiseModel(ModelKind.GAUSSIAN, SIG**2)
     backend = lambda v: analytic_score_gaussian(v, PAL, SIG)
     parts = [noisy_pair(PAL, model, size, (i, 100 + i, 200 + i), backend) for i in range(n_images)]
-    y1, y2, u, v1, v2 = (np.concatenate([get(part).ravel() for part in parts]) for get in (
-        lambda p: p[0].y1, lambda p: p[0].y2, lambda p: p[0].u, lambda p: p[1].values, lambda p: p[2].values))
-    return PerturbationPair(y1, y2, u, 1e-5), ScoreField(v1), ScoreField(v2)
+    y1, y2, v1, v2 = (np.concatenate([get(part).ravel() for part in parts]) for get in (
+        lambda p: p[0].y1, lambda p: p[0].y2, lambda p: p[1].values, lambda p: p[2].values))
+    return PerturbationPair(y1, y2), ScoreField(v1), ScoreField(v2)
 
 
 def hostile_probe(n=70001):
-    """Random scores: negative discriminants and radicands, and ds == 0 at every 97th pixel."""
+    """Random scores: negative discriminants and radicands, ds == 0 at every 97th pixel and dy == 0 at
+    the pixel after each of those."""
     rng = np.random.default_rng(31)
     pair = perturb(rng.uniform(EPS_Y, 1.0, n), 1e-3, seed=32)
+    pair.y2[1::97] = pair.y1[1::97]
     v1 = rng.normal(0.0, 3.0, n)
     v2 = v1 + rng.normal(0.0, 1e-2, n)
     v2[::97] = v1[::97]
@@ -443,7 +479,7 @@ def test_blocked_estimators_match_whole_array_bitwise(monkeypatch, block):
 
 
 def test_level_order_statistics_are_numpys_bitwise():
-    # est = -eps*u / (s2 - s1) is exactly v for eps = 1, u = -v and s2 - s1 = 1: the median and the
+    # est = -(y2 - y1) / (s2 - s1) is exactly v for y1 = 2v, y2 = v and s2 - s1 = 1: the median and the
     # quartiles, from one partition, must be np.median's and np.percentile's at every size mod 4. Each
     # order position they read starts a new random level, so neighbours differ and the rest are ties
     rng = np.random.default_rng(41)
@@ -451,7 +487,7 @@ def test_level_order_statistics_are_numpys_bitwise():
         at = [(n - 1) // 2, n // 2, *(int((n - 1) * q) + k for q in (0.25, 0.75) for k in (0, 1))]
         levels = np.sort(rng.uniform(0.1, 2.0, len(at) + 1))
         v = rng.permutation(levels[np.searchsorted(np.sort(at), np.arange(n), side="right")])
-        pair = PerturbationPair(np.ones(n), np.ones(n), -v, 1.0)
+        pair = PerturbationPair(2.0 * v, v)
         le = estimate_level("gaussian", pair, ScoreField(np.zeros(n)), ScoreField(np.ones(n)))
         q75, q25 = np.percentile(v, [75, 25])
         assert (le.pixel_count, le.value, le.iqr) == (n, float(np.median(v)), float(q75 - q25)), n

@@ -15,7 +15,6 @@ from tweedenoise import (
     posterior_mean_universal,
     saddle_density,
     unit_deviance,
-    variance_function,
 )
 
 
@@ -117,13 +116,7 @@ def test_saddle_underflows_to_zero():
 
 
 # ---------------------------------------------------------------------------
-# variance function / alpha
-
-def test_variance_function_values():
-    assert variance_function(0.3, TweedieParams(0.0, 0.04)) == 0.04
-    np.testing.assert_allclose(variance_function(0.5, TweedieParams(2.0, 0.01)), 0.0025)
-    np.testing.assert_allclose(variance_function(0.2, TweedieParams(1.0, 0.05)), 0.01)
-
+# alpha
 
 def test_alpha_term_values():
     np.testing.assert_allclose(alpha_term(0.5, TweedieParams(0.0, 0.04), 0.2), 0.016)
