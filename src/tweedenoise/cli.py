@@ -5,12 +5,14 @@ produce byte-identical outputs.  Wall-clock timings never enter reports;
 they go to ``run.log`` only.
 
 Config is a single JSON file, schema-versioned, with unknown keys rejected
-at any nesting level.  Gaussian noise levels are given as sigma on the
-0-255 scale (divided by 255 at parse time); Poisson zeta and Gamma k are
-unit-scale already.
+at any nesting level.  ``parse_config`` makes every value type the commands
+use, once, so a section that its type rejects exits 2 in every command.
+Gaussian noise levels are given as sigma on the 0-255 scale (divided by 255
+at parse time); Poisson zeta and Gamma k are unit-scale already.
 
 Exit codes: 0 success, 2 malformed config or manifest (NaN, Infinity and
-integers beyond the float range too), 3 estimation failure (quadrature non-convergence included), 4
+integers beyond the float range too, or a config noise other than the
+manifest's), 3 estimation failure (quadrature non-convergence included), 4
 training divergence.
 
 ``estimate``, ``denoise`` and ``eval`` share one loop over
@@ -152,29 +154,31 @@ def _read_json(path: Path, what: str) -> dict:
     return raw
 
 
-def parse_config(path) -> dict:
-    """Load, validate and normalize a config file.
+def parse_config(path, seed=None) -> dict:
+    """Load and validate a config file into the value types the commands use.
 
-    The seeded objects (``DenoiseCfg``, ``ArdaeConfig``) are built by the
-    commands from ``cfg["seed"]``, so that ``--seed`` reaches all of them.
+    ``seed`` (``--seed``) replaces the config's, in the seeded objects too:
+    ``denoise`` (``DenoiseCfg``) and ``ardae`` (``ArdaeConfig``).  A
+    ``synth`` section gives ``synth``, a ``SynthSpec`` of seed 0 that
+    ``synth`` reseeds per image, and ``count``; a ``noise`` section gives
+    ``truth``, the true ``NoiseModel`` (sigma^2 inside), and ``noise_level``.
     """
     raw = _section(_read_json(Path(path), "config file"), "top level", "seed")
     if raw.get("schema_version") != SCHEMA_VERSION:
         raise ValidationError(f"schema_version must be {SCHEMA_VERSION}")
+    seed = raw["seed"] if seed is None else seed
+    if seed < 0:  # every stream is keyed through SeedSequence, which takes no negative entropy
+        raise ValidationError(f"seed must be a non-negative integer, got {seed}")
 
-    cfg = {"seed": raw["seed"], "out_dir": raw.get("out_dir", "out")}
+    cfg = {"seed": seed, "out_dir": raw.get("out_dir", "out")}
 
     if "synth" in raw:
         synth = _section(raw["synth"], "synth", "prior")
-        cfg["prior"] = GmmPrior.from_dict(_section(synth["prior"], "synth.prior", "weights", "means", "stds"))
-        cfg["synth"] = {
-            "kind": synth.get("kind", "gmm_iid"),
-            "height": synth.get("height", 64),
-            "width": synth.get("width", 64),
-            "regions": synth.get("regions", 1),
-            "count": synth.get("count", 1),
-        }
-        if cfg["synth"]["count"] < 1:
+        prior = GmmPrior.from_dict(_section(synth["prior"], "synth.prior", "weights", "means", "stds"))
+        cfg["synth"] = SynthSpec(synth.get("kind", "gmm_iid"), synth.get("height", 64), synth.get("width", 64),
+                                 prior, synth.get("regions", 1))
+        cfg["count"] = synth.get("count", 1)
+        if cfg["count"] < 1:
             raise ValidationError("synth.count must be >= 1")
 
     if "noise" in raw:
@@ -183,21 +187,18 @@ def parse_config(path) -> dict:
             kind = ModelKind(noise["model"])
         except ValueError as exc:
             raise ValidationError(f"unknown noise model {noise['model']!r}") from exc
-        level = float(noise["level"])
-        if kind is ModelKind.GAUSSIAN:
-            level = level / 255.0  # sigma given on the 8-bit scale
-        NoiseModel(kind, level)  # finite and positive, Gamma k > 1
-        cfg["noise_kind"] = kind
-        cfg["noise_level"] = level  # natural units: sigma | zeta | k
+        gaussian = kind is ModelKind.GAUSSIAN
+        level = float(noise["level"]) / 255.0 if gaussian else float(noise["level"])  # sigma on the 8-bit scale
+        NoiseModel(kind, level)  # finite and positive, Gamma k > 1: checked before sigma is squared
+        cfg["truth"] = NoiseModel(kind, level * level if gaussian else level)
+        cfg["noise_level"] = level  # natural units: sigma | zeta | k, as the manifest has it
 
     est = _section(raw.get("estimation", {}), "estimation")
-    cfg["estimation"] = {k: float(v) for k, v in est.items() if k != "pooled"}
-    DenoiseCfg(**cfg["estimation"])
+    cfg["denoise"] = DenoiseCfg(seed=seed, **{k: float(v) for k, v in est.items() if k != "pooled"})
     cfg["pooled"] = est.get("pooled", False)
 
     ar = _section(raw.get("ardae", {}), "ardae")
-    cfg["ardae"] = dict(ar, hidden=tuple(ar["hidden"])) if "hidden" in ar else ar
-    ArdaeConfig(**cfg["ardae"])
+    cfg["ardae"] = ArdaeConfig(seed=seed, **(dict(ar, hidden=tuple(ar["hidden"])) if "hidden" in ar else ar))
 
     sb = cfg["score_backend"] = raw.get("score_backend", "oracle-gaussian")
     if sb.startswith("ardae:"):
@@ -213,15 +214,8 @@ def _image_seed(master: int, index: int, purpose: int) -> int:
     return int(np.random.SeedSequence([master, index, purpose]).generate_state(1)[0])
 
 
-def _true_model(cfg) -> NoiseModel:
-    kind, level = cfg["noise_kind"], cfg["noise_level"]
-    if kind is ModelKind.GAUSSIAN:
-        return NoiseModel(kind, level * level)  # store sigma^2 internally
-    return NoiseModel(kind, level)
-
-
 def _need_truth(cfg, what: str):
-    if "prior" not in cfg or "noise_kind" not in cfg:
+    if "synth" not in cfg or "truth" not in cfg:
         raise ValidationError(f"{what} needs the synth and noise config sections")
 
 
@@ -232,17 +226,18 @@ def make_backend(cfg):
         params, _ = load_checkpoint(sb.split(":", 1)[1])
         return lambda y: eval_score(params, y)
     _need_truth(cfg, f"score backend {sb}")
-    if cfg["noise_kind"] not in _ORACLE_FAMILIES[sb]:
-        raise ValidationError(f"score backend {sb} does not fit {cfg['noise_kind'].value} noise")
-    prior = cfg["prior"]
+    prior, truth = cfg["synth"].prior, cfg["truth"]
+    if truth.kind not in _ORACLE_FAMILIES[sb]:
+        raise ValidationError(f"score backend {sb} does not fit {truth.kind.value} noise")
     if sb == "oracle-gaussian":
         sigma = cfg["noise_level"]
         return lambda y: analytic_score_gaussian(y, prior, sigma)
-    model = _true_model(cfg)
-    return lambda y: numeric_marginal_score(y, prior, model)
+    return lambda y: numeric_marginal_score(y, prior, truth)
 
 
-def _load_manifest(out_dir: Path):
+def _load_manifest(out_dir: Path, cfg):
+    """``manifest.json``, checked, also against the config's noise where it has one: the level
+    round-trips through JSON, so the same noise has the same level bit for bit."""
     manifest = _section(_read_json(out_dir / "manifest.json", "manifest"), "manifest", "model", "level", "images")
     if not manifest["images"]:
         raise ValidationError("manifest lists no images")
@@ -253,31 +248,27 @@ def _load_manifest(out_dir: Path):
         NoiseModel(manifest["model"], manifest["level"])
     except ValueError as exc:  # DomainError, or ModelKind's own for an unknown name
         raise ValidationError(f"manifest model {manifest['model']!r} at level {manifest['level']!r}: {exc}") from exc
+    if "truth" in cfg and (manifest["model"], manifest["level"]) != (cfg["truth"].kind.value, cfg["noise_level"]):
+        raise ValidationError(f"config noise {cfg['truth'].kind.value} at level {cfg['noise_level']!r} is not the "
+                              f"manifest's {manifest['model']} at level {manifest['level']!r}")
     return manifest
 
 
 def cmd_synth(cfg) -> int:
     _need_truth(cfg, "synth")
-    out = Path(cfg["out_dir"])
-    out.mkdir(parents=True, exist_ok=True)
-    sp, model = cfg["synth"], _true_model(cfg)
+    out = Path(cfg["out_dir"])  # main made it
     images = []
-    for i in range(sp["count"]):
-        spec = SynthSpec(
-            kind=sp["kind"], height=sp["height"], width=sp["width"],
-            prior=cfg["prior"], regions=sp["regions"],
-            seed=_image_seed(cfg["seed"], i, 0),
-        )
-        x = gen_clean(spec)
+    for i in range(cfg["count"]):
+        x = gen_clean(dataclasses.replace(cfg["synth"], seed=_image_seed(cfg["seed"], i, 0)))
         noise_seed = _image_seed(cfg["seed"], i, 1)
-        y = sample_noisy(x, model, noise_seed)
+        y = sample_noisy(x, cfg["truth"], noise_seed)
         clean_name, noisy_name = f"clean_{i:03d}.f32", f"noisy_{i:03d}.f32"
         save_tensor(out / clean_name, x)
         save_tensor(out / noisy_name, y)
         images.append({"index": i, "clean": clean_name, "noisy": noisy_name, "noise_seed": noise_seed})
     manifest = {
         "schema_version": SCHEMA_VERSION,
-        "model": cfg["noise_kind"].value,
+        "model": cfg["truth"].kind.value,
         "level": cfg["noise_level"],
         "images": images,
     }
@@ -288,11 +279,10 @@ def cmd_synth(cfg) -> int:
 
 def cmd_train(cfg) -> int:
     out = Path(cfg["out_dir"])
-    manifest = _load_manifest(out)
+    manifest = _load_manifest(out, cfg)
     data = [load_tensor(out / im["noisy"]) for im in manifest["images"]]
-    config = ArdaeConfig(seed=cfg["seed"], **cfg["ardae"])
-    params, history = train_ardae(config, data)
-    save_checkpoint(out / "checkpoint.npz", params, config)
+    params, history = train_ardae(cfg["ardae"], data)
+    save_checkpoint(out / "checkpoint.npz", params, cfg["ardae"])
     running = float("inf")
     with open(out / "loss.csv", "w", newline="") as fh:
         wr = csv.writer(fh)
@@ -314,7 +304,7 @@ def _blind_images(cfg, out: Path, images, backend):
     probe's y1, never copied.  The loop drops them and their scores before it
     scores the next group, and callers drop what they were handed too.
     """
-    dn = DenoiseCfg(seed=cfg["seed"], **cfg["estimation"])
+    dn = cfg["denoise"]
     if cfg["pooled"]:
         groups = [(dn, images)]
     else:
@@ -334,7 +324,7 @@ def _blind_images(cfg, out: Path, images, backend):
 
 def cmd_estimate(cfg) -> int:
     out = Path(cfg["out_dir"])
-    manifest = _load_manifest(out)
+    manifest = _load_manifest(out, cfg)
     truth_kind, truth_level = manifest["model"], manifest["level"]
     rows = []
     for im, _, _, report in _blind_images(cfg, out, manifest["images"], make_backend(cfg)):
@@ -358,9 +348,9 @@ def cmd_estimate(cfg) -> int:
 
 def _denoise_batch(cfg, save_tensors: bool) -> int:
     out = Path(cfg["out_dir"])
-    manifest = _load_manifest(out)
+    manifest = _load_manifest(out, cfg)
     _need_truth(cfg, "denoise/eval")
-    truth = _true_model(cfg)
+    truth = cfg["truth"]
     rows = []
     for im, y, s1, report in _blind_images(cfg, out, manifest["images"], make_backend(cfg)):
         x = load_tensor(out / im["clean"])
@@ -375,7 +365,7 @@ def _denoise_batch(cfg, save_tensors: bool) -> int:
                 save_tensor(out / f"denoised_{im['index']:03d}.f32", xb)
                 (out / f"denoise_{im['index']:03d}.json").write_text(report.to_json())
         row["known"] = psnr(x, denoise_known(y, truth, lambda _: s1))
-        row["oracle"] = psnr(x, np.clip(posterior_mean_field(y, cfg["prior"], truth), EPS_Y, 1.0))
+        row["oracle"] = psnr(x, np.clip(posterior_mean_field(y, cfg["synth"].prior, truth), EPS_Y, 1.0))
         rows.append(row)
         del s1, report  # the group's scores, freed before the next group is scored
 
@@ -421,11 +411,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        cfg = parse_config(args.config)
-        if args.seed is not None:
-            cfg["seed"] = args.seed
-        if cfg["seed"] < 0:  # every stream is keyed through SeedSequence, which takes no negative entropy
-            raise ValidationError(f"seed must be a non-negative integer, got {cfg['seed']}")
+        cfg = parse_config(args.config, args.seed)
         if args.out is not None:
             cfg["out_dir"] = args.out
         out = Path(cfg["out_dir"])

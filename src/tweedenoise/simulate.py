@@ -62,18 +62,6 @@ class GmmPrior:
     def n_components(self) -> int:
         return len(self.weights)
 
-    def mean(self) -> float:
-        return float(np.dot(self.weights, self.means))
-
-    def var(self) -> float:
-        w = np.asarray(self.weights)
-        m = np.asarray(self.means)
-        s = np.asarray(self.stds)
-        return float(np.dot(w, s**2 + m**2) - self.mean() ** 2)
-
-    def to_dict(self) -> dict:
-        return {"weights": list(self.weights), "means": list(self.means), "stds": list(self.stds)}
-
     @classmethod
     def from_dict(cls, d: dict) -> "GmmPrior":
         return cls(tuple(d["weights"]), tuple(d["means"]), tuple(d["stds"]))

@@ -159,8 +159,12 @@ def test_config_error_exit_codes(tmp_path):
         c = base_config(out); c["synth"]["prior"][key] = [nan, 0.8]; cases.append(("synth", c))
     # an oracle backend needs the prior and noise sections, and only fits its own families
     c = base_config(out); del c["synth"], c["noise"]; cases += [("estimate", c), ("eval", c)]
-    for model, level in (("poisson", 0.02), ("gamma", 50)):
-        c = base_config(out); c["noise"] = {"model": model, "level": level}; cases.append(("estimate", c))
+    for model, level in (("poisson", 0.02), ("gamma", 50)):  # on data of that noise, so the manifest agrees
+        c = base_config(tmp_path / model); c["noise"] = {"model": model, "level": level}; cases.append(("estimate", c))
+        assert run("synth", write_config(tmp_path, c, f"{model}.json")) == 0
+    # a synth section that SynthSpec rejects, in every command
+    for edit in ({"kind": "stripes"}, {"height": 4}, {"width": 7}, {"regions": 0}):
+        c = base_config(out); c["synth"].update(edit); cases += [(command, c) for command in cli.COMMANDS]
     # a negative seed, a non-positive level or Gamma k <= 1, and a family no sampler or formula covers,
     # are all rejected at parse, in every command
     bad_noise = [("gaussian", -25), ("gaussian", 0), ("poisson", -0.02), ("gamma", 1), ("invgauss", 0.1)]
@@ -206,8 +210,10 @@ def test_config_error_exit_codes(tmp_path):
     manifest.write_text(json.dumps(dict(json.loads(manifest.read_text()), level=HUGE)))
     assert run("estimate", str(tmp_path / "base.json")) == 2
     # indices that are not 0, 1, ..., n-1 in order: negative, repeated, swapped or with a gap (a per-image run
-    # probes image i with seed + index, a pooled one with seed + position), an unknown family and a level that
-    # no noise model takes, in each command that reads the manifest
+    # probes image i with seed + index, a pooled one with seed + position), an unknown family, a level that
+    # no noise model takes, and a noise model other than the config's (another level, or another family at
+    # the same level: every column would be computed for the config's noise), in each command that reads the
+    # manifest
     assert run("synth", str(tmp_path / "base.json")) == 0
     good = json.loads(manifest.read_text())
     first, second, *rest = good["images"]
@@ -215,9 +221,10 @@ def test_config_error_exit_codes(tmp_path):
                  dict(images=[first, dict(second, index=0), *rest]),
                  dict(images=[dict(first, index=1), dict(second, index=0), *rest]),
                  dict(images=[first, dict(second, index=2)]),
-                 dict(model="gaussain"), dict(level=-3), dict(model="gamma", level=1)):
+                 dict(model="gaussain"), dict(level=-3), dict(model="gamma", level=1),
+                 dict(level=50 / 255), dict(model="poisson")):
         manifest.write_text(json.dumps(dict(good, **edit)))
-        for command in ("estimate", "denoise", "eval"):
+        for command in ("estimate", "denoise", "eval", "train"):
             assert run(command, str(tmp_path / "base.json")) == 2, (command, edit)
 
 
@@ -420,6 +427,16 @@ def test_per_image_reports_record_the_probe_seed(tmp_path):
             assert json.loads((out / f"{kind}_{i:03d}.json").read_text())["seed"] == 11 + i
 
 
+@pytest.mark.parametrize("pooled", [True, False], ids=["pooled", "per-image"])
+def test_seed_override_reaches_the_probe(synth_run, pooled):
+    out, _, tmp_path = synth_run
+    cfg = base_config(out)
+    cfg["estimation"] = {"pooled": pooled}
+    assert run("estimate", write_config(tmp_path, cfg, "seeded.json"), "--seed", "5") == 0
+    for i in range(4):
+        assert json.loads((out / f"estimate_{i:03d}.json").read_text())["seed"] == (5 if pooled else 5 + i)
+
+
 @pytest.mark.parametrize(
     "command, mask_eps", [("estimate", None), ("eval", None), ("eval", 1e-30)], ids=["estimate", "eval", "eval-empty-mask"]
 )
@@ -472,7 +489,7 @@ def test_blind_images_hold_one_copy_of_the_pixels(synth_run, monkeypatch, pooled
         return backend(v)
 
     ys = []
-    for k, (im, y, s1, _) in enumerate(cli._blind_images(cfg, out, cli._load_manifest(out)["images"], spy)):
+    for k, (im, y, s1, _) in enumerate(cli._blind_images(cfg, out, cli._load_manifest(out, cfg)["images"], spy)):
         # the probe's y1, scored first of each image's two calls, is the loaded tensor itself
         assert scored[2 * k] is y is loaded[k]() and len(loaded) == len(scored) // 2 == (4 if pooled else k + 1)
         np.testing.assert_array_equal(y, real(out / im["noisy"]))
@@ -627,7 +644,7 @@ def test_eval_scores_each_image_twice(tmp_path, monkeypatch, pooled, failure):
         assert failure in r[5]
         i = int(r[0])
         x, y = (load_tensor(out / f"{kind}_{i:03d}.f32") for kind in ("clean", "noisy"))
-        xk = denoise_known(y, cli._true_model(parsed), real(parsed))  # a fresh score at y
+        xk = denoise_known(y, parsed["truth"], real(parsed))  # a fresh score at y
         assert float(r[3]) == psnr(x, xk)
 
 

@@ -31,3 +31,42 @@ def test_every_import_is_used(path):
 def test_the_check_sees_unused_imports():
     source = "from __future__ import annotations\nimport os.path\nfrom json import dumps as d, loads\nloads('1')\n"
     assert unused_imports(source) == [(2, "os"), (3, "d")]
+
+
+def unused_privates(sources: dict) -> list:
+    """(file, line, name) of each module-level private name (``_x``) in ``sources``, a dict of
+    file name to source, that no source reads: by name, as an attribute or in an import."""
+    trees = {name: ast.parse(source) for name, source in sources.items()}
+    read = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                read.update(alias.name for alias in node.names)
+    found = []
+    for name, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                bound = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                bound = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+            else:
+                continue
+            found += [(name, node.lineno, b) for b in bound if b.startswith("_") and not b.startswith("__")]
+    return sorted(f for f in found if f[2] not in read)
+
+
+def test_every_private_name_is_read():
+    assert unused_privates({p.name: p.read_text() for p in SRC}) == []
+
+
+def test_the_check_sees_unused_privates():
+    a = ("_A = 1\n_B: int = 2\n_C, d = 3, 4\n__all__ = []\ndef _f():\n    return _A\n"
+         "class _K:\n    pass\ndef _g():\n    pass\ndef _h():\n    pass\n")
+    b = "from a import _g\nimport a\na._h()\n"
+    assert unused_privates({"a.py": a, "b.py": b}) == [("a.py", 2, "_B"), ("a.py", 3, "_C"), ("a.py", 5, "_f"),
+                                                       ("a.py", 7, "_K")]
