@@ -23,8 +23,14 @@ estimate, also with an ``unknown`` class or a failed level estimate (its
 level left empty), and exits 3 when a group has none; ``denoise``/``eval``
 record a group's ``error`` in the column of that name and exit 0.  Their
 blind and known-level columns both apply ``pipeline.denoise_known``, with
-the estimated and the true model, to the score at y1 (y itself), so each
-image is scored twice.
+the estimated and the true model, to the score at y1 (y itself).
+
+``estimate`` always estimates; its ``estimate_NNN.json`` records carry the
+sha256 of everything that decided the group's estimate (``_group_digest``).
+``denoise`` and ``eval`` rebuild a group's report from those records when
+every image of the group has one with that digest, and then score each image
+once, at y1; otherwise they estimate and score it twice.  The digest knows the
+code only by the package version: rerun ``estimate`` after changing the library.
 """
 
 from __future__ import annotations
@@ -40,6 +46,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import __version__
 from .ardae import ArdaeConfig, eval_score, load_checkpoint, save_checkpoint, train_ardae
 from .errors import (
     DomainError,
@@ -294,7 +301,37 @@ def cmd_train(cfg) -> int:
     return EXIT_OK
 
 
-def _blind_images(cfg, out: Path, images, backend):
+def _group_digest(cfg, group_cfg: DenoiseCfg, group, ys) -> str:
+    """sha256 of everything that decides a group's estimate: the package version, the score backend and
+    what ``make_backend`` reads for it (the checkpoint's bytes, or the prior and the true noise), pooling,
+    the group's DenoiseCfg (eps, mask_eps, probe seed), its image indices and each image's loaded pixels."""
+    import hashlib  # here, off the start-up path that every command shares
+
+    sb = cfg["score_backend"]
+    h = hashlib.sha256(json.dumps([__version__, sb, cfg["pooled"], dataclasses.astuple(group_cfg),
+                                   [im["index"] for im in group], [y.shape for y in ys]]).encode())
+    if sb.startswith("ardae:"):
+        h.update(Path(sb.split(":", 1)[1]).read_bytes())
+    else:
+        h.update(json.dumps([dataclasses.astuple(cfg["synth"].prior), cfg["truth"].kind.value,
+                             cfg["noise_level"]]).encode())
+    for y in ys:
+        h.update(y)
+    return h.hexdigest()
+
+
+def _recorded(out: Path, group, digest: str):
+    """The report of the group's ``estimate_NNN.json`` records, its scores not yet set, when every image
+    has one, all are the same text, ``DenoiseReport.from_json`` takes it and it carries ``digest``; else None."""
+    try:
+        texts = {(out / f"estimate_{im['index']:03d}.json").read_text() for im in group}
+        report = DenoiseReport.from_json(texts.pop(), []) if len(texts) == 1 else None
+    except (OSError, ValueError, KeyError, TypeError):  # missing, not text, not JSON or not a record
+        return None
+    return report if report and report.inputs == digest else None
+
+
+def _blind_images(cfg, out: Path, images, backend, reuse=False):
     """(manifest image, y, score at y1, the group's DenoiseReport) per image,
     in manifest order; a failed group's report names the failure in ``error``.
 
@@ -303,6 +340,10 @@ def _blind_images(cfg, out: Path, images, backend):
     group's noisy tensors are loaded when the loop reaches it; each is its
     probe's y1, never copied.  The loop drops them and their scores before it
     scores the next group, and callers drop what they were handed too.
+
+    Each report carries the group's digest as ``inputs``.  With ``reuse``, a
+    group whose records ``estimate`` wrote for the same digest takes its
+    report from them and is scored at y1 only; any other group is estimated.
     """
     dn = cfg["denoise"]
     if cfg["pooled"]:
@@ -311,12 +352,18 @@ def _blind_images(cfg, out: Path, images, backend):
         groups = [(dataclasses.replace(dn, seed=dn.seed + im["index"]), [im]) for im in images]
     for group_cfg, group in groups:
         ys = [load_tensor(out / im["noisy"]) for im in group]
-        try:
-            me, le, pairs, f1 = blind_estimate(ys, backend, group_cfg)
-            report = DenoiseReport(f1[0].backend, me, le, y1_scores=f1, seed=group_cfg.seed)
-            del pairs, f1  # frees y2 before the next group is scored
-        except EstimationFailure as exc:
-            report = exc.report
+        digest = _group_digest(cfg, group_cfg, group, ys)
+        report = _recorded(out, group, digest) if reuse else None
+        if report is not None:
+            report.y1_scores = [backend(y) for y in ys]
+        else:
+            try:
+                me, le, pairs, f1 = blind_estimate(ys, backend, group_cfg)
+                report = DenoiseReport(f1[0].backend, me, le, y1_scores=f1, seed=group_cfg.seed)
+                del pairs, f1  # frees y2 before the next group is scored
+            except EstimationFailure as exc:
+                report = exc.report
+            report.inputs = digest
         for im, y, s1 in zip(group, ys, report.y1_scores):
             yield im, y, s1, report
         del ys, report, y, s1
@@ -352,7 +399,7 @@ def _denoise_batch(cfg, save_tensors: bool) -> int:
     _need_truth(cfg, "denoise/eval")
     truth = cfg["truth"]
     rows = []
-    for im, y, s1, report in _blind_images(cfg, out, manifest["images"], make_backend(cfg)):
+    for im, y, s1, report in _blind_images(cfg, out, manifest["images"], make_backend(cfg), reuse=True):
         x = load_tensor(out / im["clean"])
         row = {"image": im["index"], "noisy": psnr(x, y), "blind": float("nan"), "error": report.error}
         if report.error:

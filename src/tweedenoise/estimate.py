@@ -152,7 +152,7 @@ def estimate_rho(
     for sign in (1.0, -1.0):
         k = _gather(buf, finite_roots(sign))
         n_nonfinite += n - k
-        roots.append(float(buf[:k].mean()) if k else float("nan"))
+        roots.append(float(buf[:k].mean()) if k else np.nan)  # the NaN object that from_json reads back
     if n_nonfinite == 2 * n:
         raise EstimationFailure("all quadratic roots non-finite (negative discriminant everywhere?)")
     rho_hat = max(np.nanmax(roots), 0.0)

@@ -26,6 +26,7 @@ from .estimate import (
     LevelEstimate,
     ModelEstimate,
     PerturbationPair,
+    classify_model,
     estimate_level,
     estimate_rho,
     perturb,
@@ -50,7 +51,7 @@ class DenoiseCfg:
 
 @dataclass
 class DenoiseReport:
-    """One group's blind estimate, from ``blind_estimate`` to ``estimate_NNN.json``."""
+    """One group's blind estimate, from ``blind_estimate`` to ``estimate_NNN.json`` and back."""
 
     backend: str = "unspecified"
     model_estimate: ModelEstimate | None = None
@@ -59,6 +60,7 @@ class DenoiseReport:
     y1_scores: list = field(default_factory=list)  # per image of the estimated group
     seed: int = 0  # the group's probe seed
     error: str = ""  # the estimation failure's message
+    inputs: str = ""  # the CLI's digest of what decided the estimate; "" from the library
 
     @property
     def level(self) -> float | None:
@@ -69,11 +71,36 @@ class DenoiseReport:
         return float(np.sqrt(le.value)) if le.kind == ModelKind.GAUSSIAN.value else le.value
 
     def to_json(self) -> str:
-        """``estimate_NNN.json``: the index estimate (there must be one), the level and the probe."""
-        me = self.model_estimate
-        keys = dict(backend=self.backend, level=self.level, mask_fraction=me.mask_fraction, model=me.classified,
-                    pixel_count=sum(s.values.size for s in self.y1_scores), rho_hat=me.rho_hat, seed=self.seed)
-        return json.dumps(keys, sort_keys=True)
+        """``estimate_NNN.json``: the index estimate (there must be one), the level, the probe and the
+        inputs.  The level is stored in internal units too, as ``level_value``: sigma squared is not
+        sigma^2 bit for bit.  A non-finite root is ``null``."""
+        me, le = self.model_estimate, self.level_estimate
+        keys = dict(backend=self.backend, error=self.error, inputs=self.inputs, level=self.level,
+                    level_iqr=le and le.iqr, level_pixel_count=le and le.pixel_count, level_value=le and le.value,
+                    mask_fraction=me.mask_fraction, model=me.classified, n_nonfinite=me.n_nonfinite,
+                    pixel_count=sum(s.values.size for s in self.y1_scores), rho_hat=me.rho_hat,
+                    roots=[r if np.isfinite(r) else None for r in me.roots], seed=self.seed)
+        return json.dumps(keys, sort_keys=True, allow_nan=False)
+
+    @classmethod
+    def from_json(cls, text: str, y1_scores) -> DenoiseReport:
+        """The report whose ``to_json`` is ``text``, for the group scored ``y1_scores`` at y1; a
+        ``null`` root reads as ``np.nan`` and ``n_singular``, which the formula counts, as 0.  Raises
+        ValueError, KeyError or TypeError when ``text`` is no such record."""
+        d = json.loads(text)
+        me = ModelEstimate(d["rho_hat"], d["model"], d["mask_fraction"],
+                           tuple(np.nan if r is None else r for r in d["roots"]), d["n_nonfinite"])
+        le = None if d["level_value"] is None else LevelEstimate(
+            d["model"], d["level_value"], d["level_pixel_count"], d["level_iqr"])
+        report = cls(d["backend"], me, le, y1_scores=y1_scores, seed=d["seed"], error=d["error"], inputs=d["inputs"])
+        # what to_json writes: the class of rho_hat, a level that a NoiseModel takes exactly when there
+        # is no error, and finite numbers (to_json refuses others)
+        if classify_model(me.rho_hat) != me.classified or (le is None) != bool(report.error):
+            raise ValueError("not a DenoiseReport record: its class, level and error disagree")
+        if le is not None:
+            NoiseModel(le.kind, le.value)
+        report.to_json()
+        return report
 
 
 def blind_estimate(ys, score_backend, cfg: DenoiseCfg):
@@ -88,7 +115,9 @@ def blind_estimate(ys, score_backend, cfg: DenoiseCfg):
     :class:`ValidationError` for no images and :class:`EstimationFailure`
     on an empty mask, an unknown classification or a failed level estimate;
     its report carries the y1 scores, the probe seed, the message as
-    ``error`` and the model estimate when there is one.
+    ``error`` and the model estimate when there is one.  Such a report,
+    failed or not, survives ``to_json`` and ``DenoiseReport.from_json``
+    field for field: stored, it applies again with the y1 scores alone.
     """
     pairs, f1, v2 = [], [], []
     for i, y in enumerate(ys):

@@ -281,7 +281,8 @@ def test_out_dir_naming_a_file_exits_2(tmp_path):
 def test_cli_start_up_and_gaussian_estimate_load_no_scipy(tmp_path):
     # scipy serves only the Poisson score and the brute-force oracle; a fresh
     # interpreter shows what the CLI's own imports and a Gaussian run load.
-    # The level's order statistics need no numpy.ma either (numpy 1.x imports it with numpy itself)
+    # The level's order statistics need no numpy.ma either (numpy 1.x imports it with numpy itself),
+    # nor does an eval that reuses the estimate record
     cfg_path = write_config(tmp_path, base_config(tmp_path / "o"))
     script = (
         "import sys\n"
@@ -294,15 +295,20 @@ def test_cli_start_up_and_gaussian_estimate_load_no_scipy(tmp_path):
         f"assert cli.main(['synth', '--config', {cfg_path!r}]) == 0\n"
         f"assert cli.main(['estimate', '--config', {cfg_path!r}]) == 0\n"
         "print(scipy_modules())\n"
+        "estimates = []\n"
+        "cli.blind_estimate = lambda *args, real=cli.blind_estimate: estimates.append(args) or real(*args)\n"
+        f"assert cli.main(['eval', '--config', {cfg_path!r}]) == 0\n"
+        "print(scipy_modules(), len(estimates))\n"
         "print('numpy.ma' in sys.modules and not eager_ma)\n"
     )
     src = str(Path(cli.__file__).resolve().parents[1])
     done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, timeout=300,
                           env={**os.environ, "PYTHONPATH": src})
     assert done.returncode == 0, done.stderr
-    after_import, after_estimate, loaded_ma = done.stdout.splitlines()
+    after_import, after_estimate, after_eval, loaded_ma = done.stdout.splitlines()
     assert after_import == "[]"
     assert after_estimate == "[]"
+    assert after_eval == "[] 0"  # the record was reused
     assert loaded_ma == "False"
 
 
@@ -603,6 +609,18 @@ def test_per_image_failures_are_recorded_not_fatal(synth_run, pooled):
         assert float(r[3]) > 0  # known-level column still filled
 
 
+def counting_backends(monkeypatch):
+    """The list of values that the backends ``make_backend`` builds from now on are called on."""
+    calls, real = [], cli.make_backend
+
+    def counting_backend(cfg):
+        backend = real(cfg)
+        return lambda y: calls.append(y) or backend(y)
+
+    monkeypatch.setattr(cli, "make_backend", counting_backend)
+    return calls
+
+
 @pytest.mark.parametrize(
     "pooled, failure",
     [
@@ -615,14 +633,7 @@ def test_per_image_failures_are_recorded_not_fatal(synth_run, pooled):
 def test_eval_scores_each_image_twice(tmp_path, monkeypatch, pooled, failure):
     # at y1 and y2; the known-level column reuses the score at y1, which is y itself,
     # also for an image whose blind path failed
-    calls = []
-    real = cli.make_backend
-
-    def counting_backend(cfg):
-        backend = real(cfg)
-        return lambda y: calls.append(y) or backend(y)
-
-    monkeypatch.setattr(cli, "make_backend", counting_backend)
+    calls = counting_backends(monkeypatch)
     out = tmp_path / "run"
     cfg = base_config(out)
     cfg["estimation"] = {"pooled": pooled}
@@ -644,8 +655,125 @@ def test_eval_scores_each_image_twice(tmp_path, monkeypatch, pooled, failure):
         assert failure in r[5]
         i = int(r[0])
         x, y = (load_tensor(out / f"{kind}_{i:03d}.f32") for kind in ("clean", "noisy"))
-        xk = denoise_known(y, parsed["truth"], real(parsed))  # a fresh score at y
+        xk = denoise_known(y, parsed["truth"], cli.make_backend(parsed))  # a fresh score at y
         assert float(r[3]) == psnr(x, xk)
+
+
+def denoise_outputs(out):
+    """File name -> bytes of what denoise and eval write: psnr.csv, denoised_NNN.f32 and denoise_NNN.json."""
+    return {p.name: p.read_bytes() for p in sorted(out.iterdir()) if p.name.startswith(("psnr.", "denoise"))}
+
+
+def reuse_case(tmp_path, case):
+    """(output directory, config path) of a synthesized fixture; ardae trains its checkpoint first."""
+    out = tmp_path / "run"
+    cfg = train_config(out) if case == "ardae" else base_config(out)
+    if case == "gaussian-per-image":
+        cfg["estimation"] = {"pooled": False}
+    elif case == "poisson-quadrature":
+        cfg.update(noise={"model": "poisson", "level": 0.02}, score_backend="oracle-quadrature")
+        cfg["synth"]["count"] = 2
+    elif case == "gamma-quadrature":  # per image; one image of three is classified unknown
+        cfg.update(seed=14, noise={"model": "gamma", "level": 50}, score_backend="oracle-quadrature",
+                   estimation={"pooled": False})
+        cfg["synth"].update(height=32, width=32, regions=16, count=3)
+    cfg_path = write_config(tmp_path, cfg)
+    assert run("synth", cfg_path) == 0
+    if case == "ardae":
+        assert run("train", cfg_path) == 0
+        cfg["score_backend"] = f"ardae:{out / 'checkpoint.npz'}"
+        cfg_path = write_config(tmp_path, cfg, "ardae.json")
+    return out, cfg_path
+
+
+@pytest.mark.parametrize(
+    "case", ["gaussian-pooled", "gaussian-per-image", "poisson-quadrature", "gamma-quadrature", "ardae"]
+)
+def test_reusing_the_estimate_record_is_bitwise_identical(tmp_path, monkeypatch, case):
+    # synth -> eval against synth -> estimate -> eval, and the same with denoise: the record that estimate
+    # wrote for these inputs replaces the probe at y2, so each image is scored once instead of twice
+    out, cfg_path = reuse_case(tmp_path, case)
+    count = len(json.loads((out / "manifest.json").read_text())["images"])
+    calls, written = counting_backends(monkeypatch), {}
+    for estimated in (False, True):
+        if estimated:
+            assert run("estimate", cfg_path) == 0
+        for command in ("eval", "denoise"):
+            for p in out.glob("denoise*"):
+                p.unlink()
+            calls.clear()
+            assert run(command, cfg_path) == 0
+            assert len(calls) == (1 if estimated else 2) * count, (command, estimated)
+            written[command, estimated] = denoise_outputs(out)
+    for command in ("eval", "denoise"):
+        assert written[command, True] == written[command, False], command
+    assert any(name.startswith("denoised_") for name in written["denoise", True])
+    if case == "gamma-quadrature":  # the unknown image's record is reused with its error
+        _, rows = read_csv(out / "psnr.csv")
+        assert sum("classified as unknown" in r[5] for r in rows) == 1
+
+
+def _rewrite_one_pixel(out):
+    y = load_tensor(out / "noisy_002.f32")
+    y[5, 5] += 1e-3
+    save_tensor(out / "noisy_002.f32", y)
+
+
+def _tamper(out, **edit):
+    """Every record of the pooled group edited alike, its digest kept."""
+    for i in range(4):
+        path = out / f"estimate_{i:03d}.json"
+        path.write_text(json.dumps(dict(json.loads(path.read_text()), **edit), sort_keys=True))
+
+
+# one input of the group digest changed after estimate, a record of the pooled group broken, or all of
+# them edited with their digest kept: the config or the output directory edited (the seed with --seed)
+STALE = {
+    "eps": lambda cfg, out: cfg["estimation"].update(eps=2e-5),
+    "mask_eps": lambda cfg, out: cfg["estimation"].update(mask_eps=2e-5),
+    "seed": lambda cfg, out: None,
+    "pooled": lambda cfg, out: cfg["estimation"].update(pooled=False),
+    "noisy-tensor": lambda cfg, out: _rewrite_one_pixel(out),
+    "prior": lambda cfg, out: cfg["synth"]["prior"].update(stds=[0.005, 0.006]),
+    "garbled-record": lambda cfg, out: (out / "estimate_001.json").write_text('{"backend": "oracle-gau'),
+    "missing-record": lambda cfg, out: (out / "estimate_003.json").unlink(),
+    "tampered-level": lambda cfg, out: _tamper(out, level_value="x"),
+    "tampered-class": lambda cfg, out: _tamper(out, rho_hat=2.0),
+    "tampered-error": lambda cfg, out: _tamper(out, error="no level"),
+}
+
+
+@pytest.mark.parametrize("change", sorted(STALE))
+def test_a_stale_record_is_never_used(synth_run, monkeypatch, change):
+    out, cfg_path, tmp_path = synth_run
+    assert run("estimate", cfg_path) == 0
+    cfg = base_config(out)
+    STALE[change](cfg, out)
+    extra = ("--seed", "12") if change == "seed" else ()
+    cfg_path = write_config(tmp_path, cfg, "changed.json")
+    calls = counting_backends(monkeypatch)
+    assert run("eval", cfg_path, *extra) == 0
+    assert len(calls) == 2 * 4  # estimated afresh
+    assert_matches_eval_without_records(out, cfg_path, *extra)
+
+
+def test_a_record_of_another_checkpoint_is_never_used(tmp_path, monkeypatch):
+    out, cfg_path = reuse_case(tmp_path, "ardae")
+    assert run("estimate", cfg_path) == 0
+    assert run("train", str(tmp_path / "cfg.json"), "--seed", "99") == 0  # the same path, other weights
+    calls = counting_backends(monkeypatch)
+    assert run("eval", cfg_path) == 0
+    assert len(calls) == 2 * 2
+    assert_matches_eval_without_records(out, cfg_path)
+
+
+def assert_matches_eval_without_records(out, cfg_path, *extra):
+    """The psnr.csv just written equals that of an eval with no estimate record to reuse."""
+    written = (out / "psnr.csv").read_bytes()
+    for p in out.glob("estimate_*.json"):
+        p.unlink()
+    assert run("eval", cfg_path, *extra) == 0
+    assert (out / "psnr.csv").read_bytes() == written
 
 
 # ---------------------------------------------------------------------------

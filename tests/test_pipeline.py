@@ -109,8 +109,9 @@ def test_denoise_report_to_json(monkeypatch):
     scores = [ScoreField(np.zeros((64, 64)), "oracle-gaussian")] * 2
     rep = DenoiseReport("oracle-gaussian", me, LevelEstimate("gaussian", 0.01, 4000, 0.001), y1_scores=scores, seed=7)
     assert rep.to_json() == (
-        '{"backend": "oracle-gaussian", "level": 0.1, "mask_fraction": 0.11, "model": "gaussian", '
-        '"pixel_count": 8192, "rho_hat": 0.38, "seed": 7}'
+        '{"backend": "oracle-gaussian", "error": "", "inputs": "", "level": 0.1, "level_iqr": 0.001, '
+        '"level_pixel_count": 4000, "level_value": 0.01, "mask_fraction": 0.11, "model": "gaussian", '
+        '"n_nonfinite": 0, "pixel_count": 8192, "rho_hat": 0.38, "roots": [0.38, -1.0], "seed": 7}'
     )
     gamma = ModelEstimate(rho_hat=2.1, classified="gamma", mask_fraction=0.2, roots=(2.1, 0.0))
     rep = DenoiseReport("oracle-quadrature", gamma, LevelEstimate("gamma", 49.9, 4000, 3.0), y1_scores=scores)
@@ -132,6 +133,39 @@ def test_denoise_report_to_json(monkeypatch):
     assert rep.error == "only 3 valid pixels for gaussian level (quorum 16)"
     d = json.loads(rep.to_json())
     assert d["level"] is None and d["model"] == "gaussian" and d["seed"] == cfg.seed
+    assert d["level_value"] is d["level_pixel_count"] is d["level_iqr"] is None and d["error"] == rep.error
+
+
+def test_denoise_report_json_round_trip(monkeypatch):
+    # a success, a failed level, an unknown class and a NaN root: from_json rebuilds every field
+    _, y, backend, cfg = gaussian_scene()
+    reports = [denoise_blind(y, backend, cfg)[1]]
+    me = reports[0].model_estimate
+    reports.append(dataclasses.replace(reports[0], model_estimate=dataclasses.replace(me, roots=(np.nan, -0.5))))
+    with pytest.raises(EstimationFailure, match="unknown") as exc:
+        blind_estimate([y], lambda v: ScoreField(-2.5 / v), cfg)
+    reports.append(exc.value.report)
+
+    def no_quorum(kind, *args, **kwargs):
+        raise EstimationFailure(f"only 3 valid pixels for {kind} level (quorum 16)")
+
+    monkeypatch.setattr(pipeline, "estimate_level", no_quorum)
+    with pytest.raises(EstimationFailure) as exc:
+        blind_estimate([y], backend, cfg)
+    reports.append(dataclasses.replace(exc.value.report, inputs="ab" * 32))
+    for rep in reports:
+        text = rep.to_json()
+        assert DenoiseReport.from_json(text, rep.y1_scores) == rep
+        assert DenoiseReport.from_json(text, rep.y1_scores).to_json() == text
+    assert json.loads(reports[1].to_json())["roots"] == [None, -0.5]  # JSON has no NaN
+    assert [r.level_estimate is None for r in reports] == [False, False, True, True]
+    with pytest.raises(KeyError):
+        DenoiseReport.from_json('{"backend": "oracle-gaussian"}', [])
+    # a record the success's could not be: another class, a level no model takes or none without an
+    # error, a number that is not finite
+    for edit in ({"model": "gamma"}, {"level_value": -1.0}, {"level_value": None}, {"mask_fraction": np.nan}):
+        with pytest.raises(ValueError):
+            DenoiseReport.from_json(json.dumps(dict(json.loads(reports[0].to_json()), **edit)), [])
 
 
 def test_unknown_classification_aborts_with_report():
