@@ -12,6 +12,7 @@ from .ardae import (
     ema_update,
     eval_score,
     extract_patches,
+    geometric_schedule,
     gradient_check,
     init_mlp,
     load_checkpoint,
@@ -50,13 +51,11 @@ from .pipeline import (
 from .scores import (
     ScoreField,
     analytic_score_gaussian,
-    geometric_schedule,
     numeric_marginal_score,
 )
 from .simulate import (
     GmmPrior,
     SynthSpec,
-    clamp_rate,
     gen_clean,
     load_tensor,
     psnr,

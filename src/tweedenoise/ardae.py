@@ -34,7 +34,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError, TrainingDivergence, ValidationError
-from .scores import ScoreField, geometric_schedule
+from .scores import ScoreField
 
 IN_SHIFT = 0.5
 IN_GAIN = 4.0
@@ -219,13 +219,12 @@ def _as_image(img, radius: int) -> np.ndarray:
     return img
 
 
-def extract_patches(img: np.ndarray, radius: int, index=None, out=None) -> np.ndarray:
+def extract_patches(img: np.ndarray, radius: int, index=None) -> np.ndarray:
     """(H*W, (2r+1)^2) rows of reflect-padded context patches.
 
-    With ``index``, the rows of those flat pixel positions only, in that
-    order, written into ``out`` if given.
+    With ``index``, the rows of those flat pixel positions only, in that order.
     """
-    return _gather_patches(_patch_windows(img, radius), index, out)
+    return _gather_patches(_patch_windows(img, radius), index)
 
 
 def _patch_windows(img, radius: int) -> np.ndarray:
@@ -273,6 +272,22 @@ def ema_update(params: MlpParams, m: float) -> None:
     for b, eb in zip(params.biases, params.ema_biases):
         eb *= m
         eb += (1 - m) * b
+
+
+def geometric_schedule(sigma_a_max: float, sigma_a_min: float, T: int):
+    """Length-T geometric sequence from sigma_a_max down to sigma_a_min.
+
+    Endpoints are exact; interior points use ratio (min/max)^(1/(T-1)).
+    """
+    if not (0 < sigma_a_min <= sigma_a_max):
+        raise DomainError(f"need 0 < min <= max, got ({sigma_a_max}, {sigma_a_min})")
+    if T < 2:
+        raise DomainError(f"schedule length must be >= 2, got {T}")
+    ratio = (sigma_a_min / sigma_a_max) ** (1.0 / (T - 1))
+    seq = sigma_a_max * ratio ** np.arange(T, dtype=np.float64)
+    seq[0] = sigma_a_max
+    seq[-1] = sigma_a_min
+    return seq
 
 
 def train_ardae(config: ArdaeConfig, data) -> tuple:

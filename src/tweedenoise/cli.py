@@ -169,6 +169,7 @@ def parse_config(path, seed=None) -> dict:
     ``synth`` section gives ``synth``, a ``SynthSpec`` of seed 0 that
     ``synth`` reseeds per image, and ``count``; a ``noise`` section gives
     ``truth``, the true ``NoiseModel`` (sigma^2 inside), and ``noise_level``.
+    ``checkpoint`` is the existing file PATH of ``ardae:PATH``, else None.
     """
     raw = _section(_read_json(Path(path), "config file"), "top level", "seed")
     if raw.get("schema_version") != SCHEMA_VERSION:
@@ -208,11 +209,10 @@ def parse_config(path, seed=None) -> dict:
     cfg["ardae"] = ArdaeConfig(seed=seed, **(dict(ar, hidden=tuple(ar["hidden"])) if "hidden" in ar else ar))
 
     sb = cfg["score_backend"] = raw.get("score_backend", "oracle-gaussian")
-    if sb.startswith("ardae:"):
-        ckpt = Path(sb.split(":", 1)[1])
-        if not ckpt.is_file():
-            raise ValidationError(f"checkpoint {ckpt} does not exist")
-    elif sb not in _ORACLE_FAMILIES:
+    ckpt = cfg["checkpoint"] = Path(sb.split(":", 1)[1]) if sb.startswith("ardae:") else None
+    if ckpt is not None and not ckpt.is_file():
+        raise ValidationError(f"checkpoint {ckpt} does not exist")
+    if ckpt is None and sb not in _ORACLE_FAMILIES:
         raise ValidationError(f"unknown score backend {sb!r}")
     return cfg
 
@@ -228,10 +228,10 @@ def _need_truth(cfg, what: str):
 
 def make_backend(cfg):
     """Score-field closure y -> ScoreField for the configured backend."""
-    sb = cfg["score_backend"]
-    if sb.startswith("ardae:"):
-        params, _ = load_checkpoint(sb.split(":", 1)[1])
+    if cfg["checkpoint"] is not None:
+        params, _ = load_checkpoint(cfg["checkpoint"])
         return lambda y: eval_score(params, y)
+    sb = cfg["score_backend"]
     _need_truth(cfg, f"score backend {sb}")
     prior, truth = cfg["synth"].prior, cfg["truth"]
     if truth.kind not in _ORACLE_FAMILIES[sb]:
@@ -310,8 +310,8 @@ def _group_digest(cfg, group_cfg: DenoiseCfg, group, ys) -> str:
     sb = cfg["score_backend"]
     h = hashlib.sha256(json.dumps([__version__, sb, cfg["pooled"], dataclasses.astuple(group_cfg),
                                    [im["index"] for im in group], [y.shape for y in ys]]).encode())
-    if sb.startswith("ardae:"):
-        h.update(Path(sb.split(":", 1)[1]).read_bytes())
+    if cfg["checkpoint"] is not None:
+        h.update(cfg["checkpoint"].read_bytes())
     else:
         h.update(json.dumps([dataclasses.astuple(cfg["synth"].prior), cfg["truth"].kind.value,
                              cfg["noise_level"]]).encode())

@@ -165,11 +165,6 @@ def denoise_known(y, model: NoiseModel, score_backend):
 PRIOR_NSD = 12.0  # each prior component is integrated over its mean +- PRIOR_NSD stds
 
 
-def _prior_component_bounds(prior: GmmPrior):
-    for wt, m, sd in zip(prior.weights, prior.means, prior.stds):
-        yield wt, m, sd, max(m - PRIOR_NSD * sd, 1e-8), m + PRIOR_NSD * sd
-
-
 def _quad(f, lo, hi):
     from scipy import integrate
     # epsabs admits negligible components (integrands are offset to O(1)
@@ -217,7 +212,9 @@ def brute_posterior_mean(y: float, prior: GmmPrior, model: NoiseModel) -> float:
     # it cancels in the ratio
     offset = max(loglik(m) for m in prior.means)
     num = den = 0.0
-    for wt, m, sd, lo, hi in _prior_component_bounds(prior):
+    for wt, m, sd in zip(prior.weights, prior.means, prior.stds):
+        lo, hi = max(m - PRIOR_NSD * sd, 1e-8), m + PRIOR_NSD * sd
+
         def integrand(x, moment):
             lp = loglik(x) - 0.5 * ((x - m) / sd) ** 2 - np.log(sd * np.sqrt(2 * np.pi))
             return (x**moment) * np.exp(lp - offset)

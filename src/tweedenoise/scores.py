@@ -340,19 +340,3 @@ def numeric_marginal_score(
     y = _checked_domain(y)
     e_f = posterior_moment(y, prior, model, 2 * order, 0) if check else quadrature_posterior(y, prior, model, order)[0]
     return ScoreField(_score(y, e_f, model), backend="oracle-quadrature")
-
-
-def geometric_schedule(sigma_a_max: float, sigma_a_min: float, T: int):
-    """Length-T geometric sequence from sigma_a_max down to sigma_a_min.
-
-    Endpoints are exact; interior points use ratio (min/max)^(1/(T-1)).
-    """
-    if not (0 < sigma_a_min <= sigma_a_max):
-        raise DomainError(f"need 0 < min <= max, got ({sigma_a_max}, {sigma_a_min})")
-    if T < 2:
-        raise DomainError(f"schedule length must be >= 2, got {T}")
-    ratio = (sigma_a_min / sigma_a_max) ** (1.0 / (T - 1))
-    seq = sigma_a_max * ratio ** np.arange(T, dtype=np.float64)
-    seq[0] = sigma_a_max
-    seq[-1] = sigma_a_min
-    return seq

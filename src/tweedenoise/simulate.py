@@ -58,10 +58,6 @@ class GmmPrior:
         object.__setattr__(self, "means", tuple(float(x) for x in m))
         object.__setattr__(self, "stds", tuple(float(x) for x in s))
 
-    @property
-    def n_components(self) -> int:
-        return len(self.weights)
-
     @classmethod
     def from_dict(cls, d: dict) -> "GmmPrior":
         return cls(tuple(d["weights"]), tuple(d["means"]), tuple(d["stds"]))
@@ -97,7 +93,7 @@ def gen_clean(spec: SynthSpec) -> np.ndarray:
     rng = rng_for(spec.seed, 0)
     H, W = spec.height, spec.width
     if spec.kind == GMM_IID:
-        comp = rng.choice(spec.prior.n_components, size=(H, W), p=spec.prior.weights)
+        comp = rng.choice(len(spec.prior.weights), size=(H, W), p=spec.prior.weights)
         x = np.asarray(spec.prior.means)[comp] + np.asarray(spec.prior.stds)[comp] * rng.standard_normal((H, W))
         return np.clip(x, EPS_Y, 1.0)
     g = math.isqrt(spec.regions - 1) + 1  # smallest g with g*g >= regions
@@ -129,14 +125,8 @@ def sample_noisy(x: np.ndarray, model: NoiseModel, seed: int) -> np.ndarray:
     return np.maximum(y, EPS_Y)
 
 
-def clamp_rate(y_raw: np.ndarray) -> float:
-    """Fraction of entries at or below the EPS_Y floor (post-clamp)."""
-    y_raw = np.asarray(y_raw)
-    return float(np.count_nonzero(y_raw <= EPS_Y) / y_raw.size)
-
-
-def psnr(a: np.ndarray, b: np.ndarray, peak: float = 1.0) -> float:
-    """10*log10(peak^2 / MSE) in dB; +inf when the images coincide."""
+def psnr(a: np.ndarray, b: np.ndarray) -> float:
+    """10*log10(1 / MSE) in dB, for images on the [0, 1] scale; +inf when they coincide."""
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
     if a.shape != b.shape:
@@ -144,7 +134,7 @@ def psnr(a: np.ndarray, b: np.ndarray, peak: float = 1.0) -> float:
     mse = float(np.mean((a - b) ** 2))
     if mse == 0.0:
         return float("inf")
-    return 10.0 * math.log10(peak * peak / mse)
+    return 10.0 * math.log10(1.0 / mse)
 
 
 # ---------------------------------------------------------------------------

@@ -180,9 +180,28 @@ def test_extract_patches_matches_np_pad_reference(shape, radius):
     ref = win.reshape(img.size, -1)
     np.testing.assert_array_equal(extract_patches(img, radius), ref)
     index = np.random.default_rng(11).integers(0, img.size, 2 * img.size)
-    out = np.empty((index.size, ref.shape[1]))
-    assert extract_patches(img, radius, index, out=out) is out
-    np.testing.assert_array_equal(out, ref[index])
+    np.testing.assert_array_equal(extract_patches(img, radius, index), ref[index])
+
+
+# ---------------------------------------------------------------------------
+# schedules
+
+def test_geometric_schedule_values():
+    np.testing.assert_allclose(geometric_schedule(0.1, 0.001, 3), [0.1, 0.01, 0.001])
+    seq = geometric_schedule(0.05, 0.01, 5)
+    assert seq[0] == 0.05 and seq[-1] == 0.01  # endpoints exact
+    np.testing.assert_allclose(np.diff(np.log(seq)), np.log(0.2) / 4)
+    same = geometric_schedule(0.03, 0.03, 4)
+    np.testing.assert_array_equal(same, np.full(4, 0.03))
+
+
+def test_geometric_schedule_errors():
+    with pytest.raises(DomainError):
+        geometric_schedule(0.1, 0.001, 1)
+    with pytest.raises(DomainError):
+        geometric_schedule(0.001, 0.1, 5)
+    with pytest.raises(DomainError):
+        geometric_schedule(0.1, 0.0, 5)
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,6 @@ from tweedenoise import (
     QuadratureError,
     ScoreField,
     analytic_score_gaussian,
-    geometric_schedule,
     numeric_marginal_score,
     posterior_mean_field,
 )
@@ -312,24 +311,3 @@ def test_pixels_above_the_table_span_take_the_direct_kernel(model):
     direct = numeric_marginal_score(y[above], P58, model, order=96, check=False).values
     np.testing.assert_array_equal(score[above], direct)
     np.testing.assert_array_equal(posterior_mean_field(y, P58, model)[above], quadrature_posterior(y[above], P58, model, 96)[1])
-
-
-# ---------------------------------------------------------------------------
-# schedules
-
-def test_geometric_schedule_values():
-    np.testing.assert_allclose(geometric_schedule(0.1, 0.001, 3), [0.1, 0.01, 0.001])
-    seq = geometric_schedule(0.05, 0.01, 5)
-    assert seq[0] == 0.05 and seq[-1] == 0.01  # endpoints exact
-    np.testing.assert_allclose(np.diff(np.log(seq)), np.log(0.2) / 4)
-    same = geometric_schedule(0.03, 0.03, 4)
-    np.testing.assert_array_equal(same, np.full(4, 0.03))
-
-
-def test_geometric_schedule_errors():
-    with pytest.raises(DomainError):
-        geometric_schedule(0.1, 0.001, 1)
-    with pytest.raises(DomainError):
-        geometric_schedule(0.001, 0.1, 5)
-    with pytest.raises(DomainError):
-        geometric_schedule(0.1, 0.0, 5)

@@ -5,7 +5,8 @@ from pathlib import Path
 
 import pytest
 
-SRC = sorted((Path(__file__).resolve().parents[1] / "src" / "tweedenoise").glob("*.py"))
+ROOT = Path(__file__).resolve().parents[1]
+SRC = sorted((ROOT / "src" / "tweedenoise").glob("*.py"))
 
 
 def unused_imports(source: str) -> list:
@@ -33,12 +34,10 @@ def test_the_check_sees_unused_imports():
     assert unused_imports(source) == [(2, "os"), (3, "d")]
 
 
-def unused_privates(sources: dict) -> list:
-    """(file, line, name) of each module-level private name (``_x``) in ``sources``, a dict of
-    file name to source, that no source reads: by name, as an attribute or in an import."""
-    trees = {name: ast.parse(source) for name, source in sources.items()}
+def names_read(trees) -> set:
+    """Every name that the parsed ``trees`` read: by name, as an attribute or in an import."""
     read = set()
-    for tree in trees.values():
+    for tree in trees:
         for node in ast.walk(tree):
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
                 read.add(node.id)
@@ -46,6 +45,14 @@ def unused_privates(sources: dict) -> list:
                 read.add(node.attr)
             elif isinstance(node, ast.ImportFrom):
                 read.update(alias.name for alias in node.names)
+    return read
+
+
+def unused_privates(sources: dict) -> list:
+    """(file, line, name) of each module-level private name (``_x``) in ``sources``, a dict of
+    file name to source, that no source reads: by name, as an attribute or in an import."""
+    trees = {name: ast.parse(source) for name, source in sources.items()}
+    read = names_read(trees.values())
     found = []
     for name, tree in trees.items():
         for node in tree.body:
@@ -70,3 +77,32 @@ def test_the_check_sees_unused_privates():
     b = "from a import _g\nimport a\na._h()\n"
     assert unused_privates({"a.py": a, "b.py": b}) == [("a.py", 2, "_B"), ("a.py", 3, "_C"), ("a.py", 5, "_f"),
                                                        ("a.py", 7, "_K")]
+
+
+def unreached_exports(init: str, readers) -> list:
+    """(line, name) of each name that the package ``init`` source imports that no source in
+    ``readers`` reads: by name, as an attribute or in an import."""
+    read = names_read(ast.parse(source) for source in readers)
+    imported = [(alias.lineno, alias.asname or alias.name) for node in ast.walk(ast.parse(init))
+                if isinstance(node, ast.ImportFrom) for alias in node.names]
+    return sorted((line, name) for line, name in imported if name not in read)
+
+
+# saddle_density is the paper's saddle-point density; the test oracle that ROADMAP item 10 plans calls
+# it.  An exception that a caller reaches fails the check too, so the list cannot go stale.
+UNREACHED_ON_PURPOSE = ["saddle_density"]
+
+
+def test_every_export_is_reached():
+    readers = [p for p in SRC if p.name != "__init__.py"]
+    readers += [ROOT / "tests" / "test_acceptance.py", *sorted((ROOT / "perfbench").glob("*.py"))]
+    found = unreached_exports((ROOT / "src" / "tweedenoise" / "__init__.py").read_text(),
+                              [p.read_text() for p in readers])
+    assert [name for _, name in found] == UNREACHED_ON_PURPOSE
+
+
+def test_the_check_sees_unreached_exports():
+    init = "from .a import (\n    f,\n    g as h,\n    K,\n)\nfrom .b import v, w\n__version__ = '1'\n"
+    a = "def f():\n    return K\nclass K:\n    pass\n"
+    b = "import pkg\nfrom pkg import w\npkg.f(pkg.g)\n"  # h is read by its exported name or not at all
+    assert unreached_exports(init, [a, b]) == [(3, "h"), (6, "v")]
