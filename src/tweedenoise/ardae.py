@@ -131,36 +131,39 @@ def mlp_forward(params: MlpParams, x: np.ndarray, use_ema: bool = False, acts=No
 
 
 def mlp_backward(params: MlpParams, acts, dout: np.ndarray, work=None):
-    """Gradients of sum(dout * output) w.r.t. weights and biases.  It fills
-    ``work``, a (delta, tanh') pair of buffers per hidden layer, if given."""
+    """Gradients of sum(dout * output) w.r.t. weights and biases.  Once a
+    hidden activation's weight gradient is taken, its buffer in ``acts``
+    holds tanh' = 1 - a^2 and then the layer's delta.  ``work``, a flat
+    buffer of at least N * max(hidden) entries, holds each delta before
+    its tanh' factor; one is made if not given."""
     ws = params.weights
     if work is None:
-        work = [(np.empty_like(a), np.empty_like(a)) for a in acts[1:]]
+        work = np.empty(len(dout) * max(params.layer_sizes[1:-1], default=0), ws[0].dtype)
     gws = [None] * len(ws)
     gbs = [None] * len(ws)
     delta = dout[:, None]  # (N, 1)
     gws[-1] = acts[-1].T @ delta
     gbs[-1] = delta.sum(axis=0)
     for i in range(len(ws) - 2, -1, -1):
-        nxt, deriv = work[i]
-        np.multiply(acts[i + 1], acts[i + 1], out=deriv)
+        deriv = acts[i + 1]
+        np.multiply(deriv, deriv, out=deriv)
         np.subtract(1.0, deriv, out=deriv)
-        delta = np.matmul(delta, ws[i + 1].T, out=nxt)
-        delta *= deriv
+        nxt = np.matmul(delta, ws[i + 1].T, out=work[: deriv.size].reshape(deriv.shape))
+        delta = np.multiply(nxt, deriv, out=deriv)
         gws[i] = acts[i].T @ delta
         gbs[i] = delta.sum(axis=0)
     return gws, gbs
 
 
 def _workspace(layer_sizes, n: int):
-    """DTYPE buffers for one n-row training step: the gathered batch; its
-    probe noise; each layer's activations, input and output included; and a
-    (delta, tanh-derivative) pair per hidden layer."""
+    """DTYPE buffers for training steps of up to n rows, each used through
+    its leading rows: the gathered batch; each layer's activations, input
+    and output included, the input's first holding the probe noise; and
+    mlp_backward's flat delta buffer of n * max(hidden) entries."""
     return (
         np.empty((n, layer_sizes[0]), DTYPE),
-        np.empty((n, layer_sizes[0]), DTYPE),
         [np.empty((n, s), DTYPE) for s in layer_sizes],
-        [(np.empty((n, s), DTYPE), np.empty((n, s), DTYPE)) for s in layer_sizes[1:-1]],
+        np.empty(n * max(layer_sizes[1:-1], default=0), DTYPE),
     )
 
 
@@ -172,8 +175,9 @@ def ardae_loss_and_grad(params: MlpParams, batch: np.ndarray, sigma_a: float, se
 
     ``batch`` is (N, D) with the center pixel at column D // 2; u is drawn
     per element from the given seed.  ``_forward`` is a test hook replacing
-    the network evaluation.  ``work`` holds buffers to fill, as
-    ``_workspace`` makes them less the batch.
+    the network evaluation.  ``work`` is (activations, delta buffer) of
+    ``_workspace``, the activations cut to N rows: u is drawn into the
+    input's buffer, of which only its center column is kept.
     """
     if sigma_a <= 0:
         raise DomainError(f"sigma_a must be positive, got {sigma_a}")
@@ -184,10 +188,11 @@ def ardae_loss_and_grad(params: MlpParams, batch: np.ndarray, sigma_a: float, se
         raise DomainError("batch must be a nonempty (N, D) array")
     n, d = batch.shape
     rng = np.random.default_rng(np.random.SeedSequence([int(seed), 11]))
-    u, acts, back = (np.empty((n, d), dtype), None, None) if work is None else work
-    rng.standard_normal(out=u, dtype=dtype)
-    u_c = u[:, d // 2]
-    noisy = np.multiply(u, sigma_a, out=None if acts is None else acts[0])
+    acts, back = (None, None) if work is None else work
+    noisy = np.empty((n, d), dtype) if acts is None else acts[0]
+    rng.standard_normal(out=noisy, dtype=dtype)  # u
+    u_c = noisy[:, d // 2].copy()
+    noisy *= sigma_a
     noisy += batch
     if _forward is not None:
         r = np.asarray(_forward(noisy), dtype=dtype)
@@ -300,11 +305,12 @@ def train_ardae(config: ArdaeConfig, data) -> tuple:
     finite-loss snapshot.
 
     Each batch gathers its patches from the images, numbered image after
-    image in raster order, into buffers that every full batch reuses.
-    The data, the batches and every step's arithmetic are DTYPE.
+    image in raster order, into buffers that every batch reuses.  Each
+    image is cast to DTYPE as it is read, so the data is held once; the
+    batches and every step's arithmetic are DTYPE too.
     """
-    arrays = [data] if isinstance(data, np.ndarray) else list(data)
-    arrays = [_as_image(np.asarray(a, DTYPE), config.patch_radius) for a in arrays]
+    data = [data] if isinstance(data, np.ndarray) else data
+    arrays = [_as_image(np.asarray(a, DTYPE), config.patch_radius) for a in data]
     starts = np.cumsum([0] + [a.size for a in arrays])
     n_rows = int(starts[-1])
     if n_rows < 2:
@@ -317,7 +323,7 @@ def train_ardae(config: ArdaeConfig, data) -> tuple:
         "w": [(np.zeros_like(w), np.zeros_like(w)) for w in params.weights],
         "b": [(np.zeros_like(b), np.zeros_like(b)) for b in params.biases],
     }
-    full = _workspace(config.layer_sizes, min(config.batch_size, n_rows))
+    full_batch, full_acts, back = _workspace(config.layer_sizes, min(config.batch_size, n_rows))
     m = config.ema_decay
     t = 0
     for epoch in range(config.epochs):
@@ -330,13 +336,14 @@ def train_ardae(config: ArdaeConfig, data) -> tuple:
                 continue
             sigma_a = schedule[rng.integers(0, config.schedule_len)]
             step_seed = int(rng.integers(0, 2**63 - 1))
-            batch, *work = full if idx.size == len(full[0]) else _workspace(config.layer_sizes, idx.size)
+            # a ragged last batch uses the leading rows of the buffers
+            batch, acts = full_batch[: idx.size], [a[: idx.size] for a in full_acts]
             owner = np.searchsorted(starts, idx, side="right") - 1
-            for k in np.unique(owner):
+            for k in np.flatnonzero(np.bincount(owner)):  # np.unique would import numpy.ma
                 rows = owner == k
                 batch[rows] = extract_patches(arrays[k], config.patch_radius, idx[rows] - starts[k])
             try:
-                loss, grads = ardae_loss_and_grad(params, batch, sigma_a, step_seed, work=work)
+                loss, grads = ardae_loss_and_grad(params, batch, sigma_a, step_seed, work=(acts, back))
             except TrainingDivergence as exc:
                 # a failed loss evaluation leaves params at the last good step
                 raise TrainingDivergence(

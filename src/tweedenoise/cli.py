@@ -287,7 +287,7 @@ def cmd_synth(cfg) -> int:
 def cmd_train(cfg) -> int:
     out = Path(cfg["out_dir"])
     manifest = _load_manifest(out, cfg)
-    data = [load_tensor(out / im["noisy"]) for im in manifest["images"]]
+    data = (load_tensor(out / im["noisy"]) for im in manifest["images"])  # train_ardae keeps each in float32
     params, history = train_ardae(cfg["ardae"], data)
     save_checkpoint(out / "checkpoint.npz", params, cfg["ardae"])
     running = float("inf")

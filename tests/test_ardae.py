@@ -103,11 +103,11 @@ def test_loss_domain_errors():
 def test_backprop_matches_finite_differences():
     rng = np.random.default_rng(4)
     batch = rng.uniform(0.1, 1.0, (32, 9))
-    for seed in (0, 1, 2):
-        params = init_mlp([9, 12, 1], seed)
+    for sizes, seed in [([9, 12, 1], 0), ([9, 12, 1], 1), ([9, 12, 1], 2), ([9, 12, 7, 1], 0)]:  # last: unequal widths
+        params = init_mlp(sizes, seed)
         before = params.copy()
         worst = gradient_check(params, batch, sigma_a=0.05, seed=seed)
-        assert worst <= 1e-4, (seed, worst)
+        assert worst <= 1e-4, (sizes, seed, worst)
         # the check perturbs a float64 copy: the float32 params come back untouched
         for a, b in zip(params.weights + params.biases, before.weights + before.biases):
             assert a.dtype == np.float32
@@ -239,19 +239,28 @@ def train_reference(config, data):
     return params, history
 
 
+TWO_SIZES = [(33, 40), (20, 57), (33, 40)]
+
+
 @pytest.mark.parametrize(
-    "shapes, radius, batch_size",
+    "shapes, radius, batch_size, hidden",
     [
-        ([(33, 40), (20, 57), (33, 40)], 2, 300),  # two image sizes; batches span images; ragged last batch
-        ([(1000,)], 0, 256),
-        ([(100,)], 0, 128),  # one batch, smaller than batch_size
+        (TWO_SIZES, 2, 300, (16, 16)),  # two image sizes; batches span images; ragged last batch
+        ([(1000,)], 0, 256, (16, 16)),  # ragged last batch
+        ([(100,)], 0, 128, (16, 16)),  # one batch, smaller than batch_size
+        # unequal hidden widths: each delta fits its own layer's activation buffer, not the next one's
+        (TWO_SIZES, 2, 300, (16, 8)),
+        ([(1000,)], 0, 256, (16, 8)),
+        (TWO_SIZES, 2, 300, (8, 16, 12)),
+        ([(1000,)], 0, 256, (8, 16, 12)),
     ],
-    ids=["2d-two-sizes", "1d", "1d-one-batch"],
+    ids=["2d-two-sizes", "1d", "1d-one-batch",
+         "2d-two-sizes-16-8", "1d-16-8", "2d-two-sizes-8-16-12", "1d-8-16-12"],
 )
-def test_training_is_bitwise_the_concatenated_reference(shapes, radius, batch_size):
+def test_training_is_bitwise_the_concatenated_reference(shapes, radius, batch_size, hidden):
     rng = np.random.default_rng(12)
     data = [rng.uniform(0.1, 1.0, shape) for shape in shapes]
-    cfg = ArdaeConfig(**{**vars(TINY), "patch_radius": radius, "batch_size": batch_size, "hidden": (16, 16)})
+    cfg = ArdaeConfig(**{**vars(TINY), "patch_radius": radius, "batch_size": batch_size, "hidden": hidden})
     p, hist = train_ardae(cfg, data)
     q, ref_hist = train_reference(cfg, data)
     assert hist == ref_hist
@@ -269,7 +278,7 @@ def test_training_memory_is_bounded_by_the_batch():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 64 * 2**20, peak / 2**20
+    assert peak <= 16 * 2**20, peak / 2**20
 
 
 def test_training_is_deterministic():
@@ -341,11 +350,13 @@ def test_one_training_step_stays_float32(monkeypatch):
     params, _ = train_ardae(cfg, [np.random.default_rng(20).uniform(0.1, 1.0, (16, 16))])
     assert all(len(calls) == 1 for calls in seen.values()) and len(seen) == 4  # one step
     [((_, x), (out, acts))] = seen["mlp_forward"]
-    [((_, back_acts, dout, work), (gws, gbs))] = seen["mlp_backward"]
+    [((_, back_acts, dout, delta_buffer), (gws, gbs))] = seen["mlp_backward"]
     [((_, grads, state, _, _), _)] = seen["_adam_step"]
+    assert delta_buffer.shape == (256 * 8,)  # flat, N * max(hidden)
     arrays = {
         "input": [x], "output": [out], "activation": acts + back_acts, "dout": [dout],
-        "delta": [a for pair in work for a in pair], "weight gradient": gws, "bias gradient": gbs,
+        # mlp_backward leaves each hidden layer's delta in that layer's activation buffer
+        "delta": [delta_buffer] + back_acts[1:], "weight gradient": gws, "bias gradient": gbs,
         "adam moment": [a for key in ("w", "b") for pair in state[key] for a in pair],
         "parameter": params.weights + params.biases, "ema": params.ema_weights + params.ema_biases,
     }

@@ -312,6 +312,25 @@ def test_cli_start_up_and_gaussian_estimate_load_no_scipy(tmp_path):
     assert loaded_ma == "False"
 
 
+def test_cli_train_loads_no_numpy_ma(tmp_path):
+    # on numpy 2, np.unique imports numpy.ma; training visits each image's batch rows without it
+    cfg_path = write_config(tmp_path, train_config(tmp_path / "t"))
+    script = (
+        "import sys\n"
+        "import numpy\n"
+        "eager_ma = 'numpy.ma' in sys.modules\n"
+        "from tweedenoise import cli\n"
+        f"assert cli.main(['synth', '--config', {cfg_path!r}]) == 0\n"
+        f"assert cli.main(['train', '--config', {cfg_path!r}]) == 0\n"
+        "print('numpy.ma' in sys.modules and not eager_ma)\n"
+    )
+    src = str(Path(cli.__file__).resolve().parents[1])
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, timeout=300,
+                          env={**os.environ, "PYTHONPATH": src})
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines() == ["False"]
+
+
 # every key of base_config but out_dir, by its path; a mutation replaces or deletes one
 def _paths(d, prefix=()):
     for key, value in d.items():
