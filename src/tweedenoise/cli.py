@@ -12,18 +12,20 @@ at parse time); Poisson zeta and Gamma k are unit-scale already.
 
 Exit codes: 0 success, 2 malformed config or manifest (NaN, Infinity and
 integers beyond the float range too, or a config noise other than the
-manifest's), 3 estimation failure (quadrature non-convergence included), 4
-training divergence.
+manifest's) or a noisy pixel that is not finite and positive, 3 estimation
+failure (quadrature non-convergence included), 4 training divergence.
 
 ``estimate``, ``denoise`` and ``eval`` share one loop over
 ``pipeline.blind_estimate``: one group of all images with seed ``seed`` when
 pooled, else one group per image with seed ``seed + index``; each image gets
 its group's ``pipeline.DenoiseReport``.  ``estimate`` writes every index
 estimate, also with an ``unknown`` class or a failed level estimate (its
-level left empty), and exits 3 when a group has none; ``denoise``/``eval``
-record a group's ``error`` in the column of that name and exit 0.  Their
-blind and known-level columns both apply ``pipeline.denoise_known``, with
-the estimated and the true model, to the score at y1 (y itself).
+level left empty), and exits 3 when a group has none.  ``denoise`` writes
+only the blind output: ``pipeline.denoise_known`` with the estimated model,
+on the score at y1 (y itself).  ``eval`` compares it, the true model's output
+and the oracle column with the clean images, naming a failed group in its
+``error`` column.  Only ``eval`` and the oracle backends need the manifest's
+optional true ``model``/``level`` pair and its images' ``clean`` names.
 
 ``estimate`` always estimates; its ``estimate_NNN.json`` records carry the
 sha256 of everything that decided the group's estimate (``_group_digest``).
@@ -72,7 +74,7 @@ from .simulate import (
     sample_noisy,
     save_tensor,
 )
-from .tweedie import EPS_Y, ModelKind, NoiseModel
+from .tweedie import EPS_Y, ModelKind, NoiseModel, _check_positive
 
 log = logging.getLogger("tweedenoise")
 
@@ -243,14 +245,18 @@ def make_backend(cfg):
 
 
 def _load_manifest(out_dir: Path, cfg):
-    """``manifest.json``, checked, also against the config's noise where it has one: the level
-    round-trips through JSON, so the same noise has the same level bit for bit."""
-    manifest = _section(_read_json(out_dir / "manifest.json", "manifest"), "manifest", "model", "level", "images")
+    """``manifest.json``, checked, its truth also against the config's noise where both have one: the
+    level round-trips through JSON, so the same noise has the same level bit for bit."""
+    manifest = _section(_read_json(out_dir / "manifest.json", "manifest"), "manifest", "images")
     if not manifest["images"]:
         raise ValidationError("manifest lists no images")
-    indices = [_section(im, "manifest image", "index", "clean", "noisy")["index"] for im in manifest["images"]]
+    indices = [_section(im, "manifest image", "index", "noisy")["index"] for im in manifest["images"]]
     if indices != list(range(len(indices))):  # an index is its position: pooled or not, it keys the probe seed
         raise ValidationError(f"manifest image indices must be 0, 1, ..., n-1 in order, got {indices}")
+    if ("model" in manifest) != ("level" in manifest):
+        raise ValidationError("manifest must give the true model and level together, or neither")
+    if "model" not in manifest:
+        return manifest
     try:  # a known family, its level in natural units
         NoiseModel(manifest["model"], manifest["level"])
     except ValueError as exc:  # DomainError, or ModelKind's own for an unknown name
@@ -351,7 +357,7 @@ def _blind_images(cfg, out: Path, images, backend, reuse=False):
     else:
         groups = [(dataclasses.replace(dn, seed=dn.seed + im["index"]), [im]) for im in images]
     for group_cfg, group in groups:
-        ys = [load_tensor(out / im["noisy"]) for im in group]
+        ys = [_check_positive(f"noisy tensor {out / im['noisy']}", load_tensor(out / im["noisy"])) for im in group]
         digest = _group_digest(cfg, group_cfg, group, ys)
         report = _recorded(out, group, digest) if reuse else None
         if report is not None:
@@ -372,31 +378,47 @@ def _blind_images(cfg, out: Path, images, backend, reuse=False):
 def cmd_estimate(cfg) -> int:
     out = Path(cfg["out_dir"])
     manifest = _load_manifest(out, cfg)
-    truth_kind, truth_level = manifest["model"], manifest["level"]
+    truth_kind, truth_level = manifest.get("model"), manifest.get("level")
     rows = []
     for im, _, _, report in _blind_images(cfg, out, manifest["images"], make_backend(cfg)):
         me, level = report.model_estimate, report.level
         if me is None:  # no index estimate, e.g. an empty mask
             raise EstimationFailure(report.error)
         (out / f"estimate_{im['index']:03d}.json").write_text(report.to_json())
-        rows.append(
-            [im["index"], repr(me.rho_hat), me.classified, "" if level is None else repr(level),
-             truth_kind, repr(truth_level), int(me.classified == truth_kind)]
-        )
+        truth = [truth_kind, repr(truth_level), int(me.classified == truth_kind)] if truth_kind else [""] * 3
+        rows.append([im["index"], repr(me.rho_hat), me.classified, "" if level is None else repr(level), *truth])
         del _, report  # the group's scores, freed before the next group is scored
     with open(out / "estimates.csv", "w", newline="") as fh:
         wr = csv.writer(fh)
         wr.writerow(["image", "rho_hat", "model", "level", "truth_model", "truth_level", "correct"])
         wr.writerows(rows)
-    acc = float(np.mean([r[-1] for r in rows]))
-    log.info("estimate: accuracy %.3f over %d images", acc, len(rows))
+    if truth_kind:
+        log.info("estimate: accuracy %.3f over %d images", float(np.mean([r[-1] for r in rows])), len(rows))
     return EXIT_OK
 
 
-def _denoise_batch(cfg, save_tensors: bool) -> int:
+def cmd_denoise(cfg) -> int:
     out = Path(cfg["out_dir"])
     manifest = _load_manifest(out, cfg)
-    _need_truth(cfg, "denoise/eval")
+    for im, y, s1, report in _blind_images(cfg, out, manifest["images"], make_backend(cfg), reuse=True):
+        if report.error:
+            log.warning("image %s blind path failed: %s", im["index"], report.error)
+        else:
+            estimated = NoiseModel(report.model_estimate.classified, report.level_estimate.value)
+            save_tensor(out / f"denoised_{im['index']:03d}.f32", denoise_known(y, estimated, lambda _: s1))
+            (out / f"denoise_{im['index']:03d}.json").write_text(report.to_json())
+        del s1, report  # the group's scores, freed before the next group is scored
+    log.info("denoise: wrote the denoised images to %s", out)
+    return EXIT_OK
+
+
+def cmd_eval(cfg) -> int:
+    out = Path(cfg["out_dir"])
+    manifest = _load_manifest(out, cfg)
+    _need_truth(cfg, "eval")
+    unpaired = [im["index"] for im in manifest["images"] if "clean" not in im]
+    if unpaired:
+        raise ValidationError(f"eval needs each image's clean tensor; manifest image(s) {unpaired} name none")
     truth = cfg["truth"]
     rows = []
     for im, y, s1, report in _blind_images(cfg, out, manifest["images"], make_backend(cfg), reuse=True):
@@ -406,11 +428,7 @@ def _denoise_batch(cfg, save_tensors: bool) -> int:
             log.warning("image %s blind path failed: %s", im["index"], report.error)
         else:
             estimated = NoiseModel(report.model_estimate.classified, report.level_estimate.value)
-            xb = denoise_known(y, estimated, lambda _: s1)
-            row["blind"] = psnr(x, xb)
-            if save_tensors:
-                save_tensor(out / f"denoised_{im['index']:03d}.f32", xb)
-                (out / f"denoise_{im['index']:03d}.json").write_text(report.to_json())
+            row["blind"] = psnr(x, denoise_known(y, estimated, lambda _: s1))
         row["known"] = psnr(x, denoise_known(y, truth, lambda _: s1))
         row["oracle"] = psnr(x, np.clip(posterior_mean_field(y, cfg["synth"].prior, truth), EPS_Y, 1.0))
         rows.append(row)
@@ -425,16 +443,8 @@ def _denoise_batch(cfg, save_tensors: bool) -> int:
         ok = [r for r in rows if not np.isnan(r["blind"])]
         if ok:
             wr.writerow(["mean", *(repr(float(np.mean([r[c] for r in ok]))) for c in columns), ""])
-    log.info("denoise: wrote %s", out / "psnr.csv")
+    log.info("eval: wrote %s", out / "psnr.csv")
     return EXIT_OK
-
-
-def cmd_denoise(cfg) -> int:
-    return _denoise_batch(cfg, save_tensors=True)
-
-
-def cmd_eval(cfg) -> int:
-    return _denoise_batch(cfg, save_tensors=False)
 
 
 COMMANDS = {

@@ -131,7 +131,7 @@ def test_out_override(tmp_path):
 # ---------------------------------------------------------------------------
 # config validation -> exit 2
 
-def test_config_error_exit_codes(tmp_path):
+def test_config_error_exit_codes(tmp_path, capsys):
     out = tmp_path / "o"
     assert run("synth", write_config(tmp_path, base_config(out), "base.json")) == 0
     cases = []  # (command, config)
@@ -226,6 +226,25 @@ def test_config_error_exit_codes(tmp_path):
         manifest.write_text(json.dumps(dict(good, **edit)))
         for command in ("estimate", "denoise", "eval", "train"):
             assert run(command, str(tmp_path / "base.json")) == 2, (command, edit)
+    # the true model and level are optional only as a pair, and eval needs each image's clean tensor
+    for key in ("model", "level"):
+        manifest.write_text(json.dumps({k: v for k, v in good.items() if k != key}))
+        for command in ("estimate", "denoise", "eval", "train"):
+            assert run(command, str(tmp_path / "base.json")) == 2, (command, key)
+    manifest.write_text(json.dumps(dict(good, images=[first, {k: v for k, v in second.items() if k != "clean"},
+                                                      *rest])))
+    assert run("eval", str(tmp_path / "base.json")) == 2
+    # a noisy pixel that is not finite and positive, the rule of the formula, in each command that estimates;
+    # the message names the tensor
+    for value in (0.0, -0.5, np.nan, np.inf):
+        assert run("synth", str(tmp_path / "base.json")) == 0
+        y = load_tensor(out / "noisy_001.f32")
+        y[3, 3] = value
+        save_tensor(out / "noisy_001.f32", y)
+        capsys.readouterr()
+        for command in ("estimate", "denoise", "eval"):
+            assert run(command, str(tmp_path / "base.json")) == 2, (command, value)
+            assert f"noisy tensor {out / 'noisy_001.f32'}" in capsys.readouterr().err, (command, value)
 
 
 def test_config_sections_name_the_value_types_fields():
@@ -554,8 +573,16 @@ def test_estimate_writes_a_row_when_only_the_level_fails(synth_run, monkeypatch,
 # denoise / eval
 
 def test_denoise_psnr_table(synth_run):
+    # denoise writes the blind output, eval the table that compares it with the clean images
     out, cfg_path, _ = synth_run
     assert run("denoise", cfg_path) == 0
+    assert not (out / "psnr.csv").exists()
+    for i in range(4):
+        xb = load_tensor(out / f"denoised_{i:03d}.f32")
+        assert np.min(xb) >= np.float32(EPS_Y) and np.max(xb) <= 1.0
+    rep = json.loads((out / "denoise_000.json").read_text())
+    assert rep["model"] == "gaussian"
+    assert run("eval", cfg_path) == 0
     header, rows = read_csv(out / "psnr.csv")
     assert header == ["image", "psnr_noisy", "blind", "known_level", "oracle_posterior", "error"]
     assert rows[-1][0] == "mean"
@@ -567,11 +594,6 @@ def test_denoise_psnr_table(synth_run):
         assert blind >= noisy  # denoising never hurts on this oracle run
         assert blind <= known + 0.1
         assert abs(known - oracle) <= 0.01  # Gaussian case: formula is exact
-    for i in range(4):
-        xb = load_tensor(out / f"denoised_{i:03d}.f32")
-        assert np.min(xb) >= np.float32(EPS_Y) and np.max(xb) <= 1.0
-    rep = json.loads((out / "denoise_000.json").read_text())
-    assert rep["model"] == "gaussian"
     # both commands write the DenoiseReport of the same estimate
     assert run("estimate", cfg_path) == 0
     assert (out / "denoise_000.json").read_bytes() == (out / "estimate_000.json").read_bytes()
@@ -580,9 +602,14 @@ def test_denoise_psnr_table(synth_run):
 def test_denoise_rerun_is_byte_identical(synth_run):
     out, cfg_path, _ = synth_run
     assert run("denoise", cfg_path) == 0
-    first = (out / "psnr.csv").read_bytes()
+    first = denoise_outputs(out)
+    assert "denoised_000.f32" in first and "psnr.csv" not in first
     assert run("denoise", cfg_path) == 0
-    assert (out / "psnr.csv").read_bytes() == first
+    assert denoise_outputs(out) == first
+    assert run("eval", cfg_path) == 0
+    table = (out / "psnr.csv").read_bytes()
+    assert run("eval", cfg_path) == 0
+    assert (out / "psnr.csv").read_bytes() == table
 
 
 def test_eval_writes_table_but_no_tensors(synth_run):
@@ -679,7 +706,7 @@ def test_eval_scores_each_image_twice(tmp_path, monkeypatch, pooled, failure):
 
 
 def denoise_outputs(out):
-    """File name -> bytes of what denoise and eval write: psnr.csv, denoised_NNN.f32 and denoise_NNN.json."""
+    """File name -> bytes of what denoise and eval write: denoised_NNN.f32 and denoise_NNN.json, and psnr.csv."""
     return {p.name: p.read_bytes() for p in sorted(out.iterdir()) if p.name.startswith(("psnr.", "denoise"))}
 
 
@@ -730,6 +757,37 @@ def test_reusing_the_estimate_record_is_bitwise_identical(tmp_path, monkeypatch,
     if case == "gamma-quadrature":  # the unknown image's record is reused with its error
         _, rows = read_csv(out / "psnr.csv")
         assert sum("classified as unknown" in r[5] for r in rows) == 1
+
+
+@pytest.mark.parametrize("case", ["ardae", "gaussian-pooled"])
+def test_denoise_needs_no_clean_image_or_true_noise(tmp_path, case):
+    # the blind pipeline on the noisy images alone: the manifest stripped of the true noise and the clean
+    # names, the clean files deleted and, for the network, the config without its synth and noise sections
+    out, cfg_path = reuse_case(tmp_path, case)
+    checkpoint = (out / "checkpoint.npz").read_bytes() if case == "ardae" else None
+    written = {}
+    for blind in (False, True):
+        commands = ("estimate", "denoise")
+        if blind:
+            manifest = json.loads((out / "manifest.json").read_text())
+            images = [{"index": im["index"], "noisy": im["noisy"]} for im in manifest["images"]]
+            (out / "manifest.json").write_text(json.dumps({"schema_version": 1, "images": images}))
+            for p in [*out.glob("clean_*"), *out.glob("estimate*"), *out.glob("denoise*")]:
+                p.unlink()
+            if case == "ardae":
+                cfg = json.loads(Path(cfg_path).read_text())
+                del cfg["synth"], cfg["noise"]
+                cfg_path, commands = write_config(tmp_path, cfg, "blind.json"), ("train", *commands)
+        for command in commands:
+            assert run(command, cfg_path) == 0, (command, blind)
+        _, rows = read_csv(out / "estimates.csv")
+        written[blind] = denoise_outputs(out), [r[:4] for r in rows], [r[4:] for r in rows]
+    assert written[True][:2] == written[False][:2]
+    assert any(name.startswith("denoised_") for name in written[True][0]) and not (out / "psnr.csv").exists()
+    assert written[True][2] == [["", "", ""]] * len(rows)
+    if case == "ardae":
+        assert (out / "checkpoint.npz").read_bytes() == checkpoint
+    assert run("eval", cfg_path) == 2  # the comparison needs the clean images and the true noise
 
 
 def _rewrite_one_pixel(out):
