@@ -74,12 +74,8 @@ class ArdaeConfig:
             raise DomainError("bad lr/patch_radius/hidden")
 
     @property
-    def patch_dim(self) -> int:
-        return (2 * self.patch_radius + 1) ** 2
-
-    @property
     def layer_sizes(self) -> list:
-        return [self.patch_dim, *self.hidden, 1]
+        return [(2 * self.patch_radius + 1) ** 2, *self.hidden, 1]
 
 
 @dataclass
@@ -167,21 +163,19 @@ def _workspace(layer_sizes, n: int):
     )
 
 
-def ardae_loss_and_grad(params: MlpParams, batch: np.ndarray, sigma_a: float, seed: int,
-                        _forward=None, work=None):
+def ardae_loss_and_grad(params: MlpParams, batch: np.ndarray, sigma_a: float, seed: int, work=None):
     """Loss mean (u_c + sigma_a R(y + sigma_a u))^2 over the batch and its
-    exact parameter gradients, computed in the dtype of the weights (DTYPE
-    without them).
+    exact parameter gradients (weight list, bias list), computed in the
+    dtype of the weights: the network is always evaluated and differentiated.
 
     ``batch`` is (N, D) with the center pixel at column D // 2; u is drawn
-    per element from the given seed.  ``_forward`` is a test hook replacing
-    the network evaluation.  ``work`` is (activations, delta buffer) of
-    ``_workspace``, the activations cut to N rows: u is drawn into the
-    input's buffer, of which only its center column is kept.
+    per element from the given seed.  ``work`` is (activations, delta
+    buffer) of ``_workspace``, the activations cut to N rows: u is drawn into
+    the input's buffer, of which only its center column is kept.
     """
     if sigma_a <= 0:
         raise DomainError(f"sigma_a must be positive, got {sigma_a}")
-    dtype = np.dtype(DTYPE if params is None else params.weights[0].dtype)
+    dtype = params.weights[0].dtype
     sigma_a = dtype.type(sigma_a)  # a float64 scalar would promote the float32 arrays under NEP 50
     batch = np.asarray(batch, dtype=dtype)
     if batch.ndim != 2 or batch.shape[0] == 0:
@@ -194,20 +188,13 @@ def ardae_loss_and_grad(params: MlpParams, batch: np.ndarray, sigma_a: float, se
     u_c = noisy[:, d // 2].copy()
     noisy *= sigma_a
     noisy += batch
-    if _forward is not None:
-        r = np.asarray(_forward(noisy), dtype=dtype)
-        acts = None
-    else:
-        r, acts = mlp_forward(params, noisy, acts=acts)
+    r, acts = mlp_forward(params, noisy, acts=acts)
     resid = u_c + sigma_a * r
     loss = float(np.mean(resid**2))
     if not np.isfinite(loss):
         raise TrainingDivergence(f"non-finite loss {loss!r}")
-    if acts is None:
-        return loss, None
     dout = 2.0 * sigma_a * resid / n
-    gws, gbs = mlp_backward(params, acts, dout, back)
-    return loss, (gws, gbs)
+    return loss, mlp_backward(params, acts, dout, back)
 
 
 def _as_image(img, radius: int) -> np.ndarray:
@@ -240,29 +227,23 @@ def _patch_windows(img, radius: int) -> np.ndarray:
     return np.lib.stride_tricks.sliding_window_view(np.pad(img, radius, mode="reflect"), size)
 
 
-def _gather_patches(windows: np.ndarray, index=None, out=None) -> np.ndarray:
+def _gather_patches(windows: np.ndarray, index=None) -> np.ndarray:
     """The rows of ``extract_patches`` from the windows of ``_patch_windows``."""
     h, w, p, _ = windows.shape
     index = np.arange(h * w) if index is None else np.asarray(index)
     if index.size and not (0 <= index.min() and index.max() < h * w):
         raise DomainError(f"pixel index out of range for a {h}x{w} image")
-    rows = windows[np.divmod(index, w)].reshape(index.size, p * p)
-    if out is None:
-        return rows
-    out[...] = rows
-    return out
+    return windows[np.divmod(index, w)].reshape(index.size, p * p)
 
 
 def _adam_step(params, grads, state, lr, t):
     gws, gbs = grads
-    for group, grad_list, key in ((params.weights, gws, "w"), (params.biases, gbs, "b")):
-        for i, g in enumerate(grad_list):
-            m, v = state[key][i]
-            m[:] = ADAM_BETA1 * m + (1 - ADAM_BETA1) * g
-            v[:] = ADAM_BETA2 * v + (1 - ADAM_BETA2) * g * g
-            mhat = m / (1 - ADAM_BETA1**t)
-            vhat = v / (1 - ADAM_BETA2**t)
-            group[i] -= lr * mhat / (np.sqrt(vhat) + ADAM_EPS)
+    for p, g, (m, v) in zip(params.weights + params.biases, gws + gbs, state):
+        m[:] = ADAM_BETA1 * m + (1 - ADAM_BETA1) * g
+        v[:] = ADAM_BETA2 * v + (1 - ADAM_BETA2) * g * g
+        mhat = m / (1 - ADAM_BETA1**t)
+        vhat = v / (1 - ADAM_BETA2**t)
+        p -= lr * mhat / (np.sqrt(vhat) + ADAM_EPS)
 
 
 def ema_update(params: MlpParams, m: float) -> None:
@@ -271,12 +252,9 @@ def ema_update(params: MlpParams, m: float) -> None:
     With constant Theta this contracts ||Theta' - Theta|| by the factor m
     per call; m = 0 makes the copy track Theta exactly.
     """
-    for w, ew in zip(params.weights, params.ema_weights):
-        ew *= m
-        ew += (1 - m) * w
-    for b, eb in zip(params.biases, params.ema_biases):
-        eb *= m
-        eb += (1 - m) * b
+    for a, ea in zip(params.weights + params.biases, params.ema_weights + params.ema_biases):
+        ea *= m
+        ea += (1 - m) * a
 
 
 def geometric_schedule(sigma_a_max: float, sigma_a_min: float, T: int):
@@ -319,10 +297,7 @@ def train_ardae(config: ArdaeConfig, data) -> tuple:
     history = []
     schedule = geometric_schedule(config.sigma_a_max, config.sigma_a_min, config.schedule_len)
     rng = np.random.default_rng(np.random.SeedSequence([int(config.seed), 12]))
-    state = {
-        "w": [(np.zeros_like(w), np.zeros_like(w)) for w in params.weights],
-        "b": [(np.zeros_like(b), np.zeros_like(b)) for b in params.biases],
-    }
+    state = [(np.zeros_like(a), np.zeros_like(a)) for a in params.weights + params.biases]
     full_batch, full_acts, back = _workspace(config.layer_sizes, min(config.batch_size, n_rows))
     m = config.ema_decay
     t = 0
@@ -357,8 +332,9 @@ def train_ardae(config: ArdaeConfig, data) -> tuple:
     return params, history
 
 
-def eval_score(params: MlpParams, y: np.ndarray, use_ema: bool = True) -> ScoreField:
-    """Score field over an image: the network applied per context patch.
+def eval_score(params: MlpParams, y: np.ndarray) -> ScoreField:
+    """Score field over an image: the network's EMA copy applied per context
+    patch (``MlpParams(w, b, w, b)`` makes that copy the raw weights w, b).
 
     Border pixels see reflect padding.  The image is cast once to the
     weights' dtype, and the pixels go through the network in blocks of
@@ -377,8 +353,8 @@ def eval_score(params: MlpParams, y: np.ndarray, use_ema: bool = True) -> ScoreF
     scores = np.empty(y.size)
     acts = [np.empty((PATCH_BLOCK, n), dtype) for n in params.layer_sizes]
     for lo in range(0, y.size, PATCH_BLOCK):
-        patches = _gather_patches(windows, np.minimum(np.arange(lo, lo + PATCH_BLOCK), y.size - 1), acts[0])
-        out, _ = mlp_forward(params, patches, use_ema, acts)
+        patches = _gather_patches(windows, np.minimum(np.arange(lo, lo + PATCH_BLOCK), y.size - 1))
+        out, _ = mlp_forward(params, patches, use_ema=True, acts=acts)
         scores[lo : lo + PATCH_BLOCK] = out[: y.size - lo]
     return ScoreField(scores.reshape(y.shape), backend="ardae")
 
@@ -430,22 +406,20 @@ def gradient_check(params: MlpParams, batch: np.ndarray, sigma_a: float, seed: i
     float64 copy of ``params``, so the caller's params are left untouched.
     """
     params = params.copy(np.float64)
-    loss0, grads = ardae_loss_and_grad(params, batch, sigma_a, seed)
-    gws, gbs = grads
+    _, (gws, gbs) = ardae_loss_and_grad(params, batch, sigma_a, seed)
     worst = 0.0
     rng = np.random.default_rng(np.random.SeedSequence([int(seed), 13]))
-    for arrays, grad_list in ((params.weights, gws), (params.biases, gbs)):
-        for arr, g in zip(arrays, grad_list):
-            flat = arr.reshape(-1)
-            gflat = np.asarray(g).reshape(-1)
-            for j in rng.choice(flat.size, size=min(GRADCHECK_PROBES, flat.size), replace=False):
-                orig = flat[j]
-                flat[j] = orig + GRADCHECK_STEP
-                lp, _ = ardae_loss_and_grad(params, batch, sigma_a, seed)
-                flat[j] = orig - GRADCHECK_STEP
-                lm, _ = ardae_loss_and_grad(params, batch, sigma_a, seed)
-                flat[j] = orig
-                fd = (lp - lm) / (2 * GRADCHECK_STEP)
-                denom = max(abs(fd), abs(gflat[j]), 1e-8)
-                worst = max(worst, abs(fd - gflat[j]) / denom)
+    for arr, g in zip(params.weights + params.biases, gws + gbs):
+        flat = arr.reshape(-1)
+        gflat = np.asarray(g).reshape(-1)
+        for j in rng.choice(flat.size, size=min(GRADCHECK_PROBES, flat.size), replace=False):
+            orig = flat[j]
+            flat[j] = orig + GRADCHECK_STEP
+            lp, _ = ardae_loss_and_grad(params, batch, sigma_a, seed)
+            flat[j] = orig - GRADCHECK_STEP
+            lm, _ = ardae_loss_and_grad(params, batch, sigma_a, seed)
+            flat[j] = orig
+            fd = (lp - lm) / (2 * GRADCHECK_STEP)
+            denom = max(abs(fd), abs(gflat[j]), 1e-8)
+            worst = max(worst, abs(fd - gflat[j]) / denom)
     return worst

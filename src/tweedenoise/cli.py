@@ -184,7 +184,7 @@ def parse_config(path, seed=None) -> dict:
 
     if "synth" in raw:
         synth = _section(raw["synth"], "synth", "prior")
-        prior = GmmPrior.from_dict(_section(synth["prior"], "synth.prior", "weights", "means", "stds"))
+        prior = GmmPrior(**_section(synth["prior"], "synth.prior", "weights", "means", "stds"))
         cfg["synth"] = SynthSpec(synth.get("kind", "gmm_iid"), synth.get("height", 64), synth.get("width", 64),
                                  prior, synth.get("regions", 1))
         cfg["count"] = synth.get("count", 1)
@@ -267,6 +267,11 @@ def _load_manifest(out_dir: Path, cfg):
     return manifest
 
 
+def _load_noisy(out: Path, im) -> np.ndarray:
+    """Manifest image ``im``'s noisy tensor, float64; a pixel not finite and positive exits 2, naming it."""
+    return _check_positive(f"noisy tensor {out / im['noisy']}", load_tensor(out / im["noisy"]))
+
+
 def cmd_synth(cfg) -> int:
     _need_truth(cfg, "synth")
     out = Path(cfg["out_dir"])  # main made it
@@ -293,7 +298,7 @@ def cmd_synth(cfg) -> int:
 def cmd_train(cfg) -> int:
     out = Path(cfg["out_dir"])
     manifest = _load_manifest(out, cfg)
-    data = (load_tensor(out / im["noisy"]) for im in manifest["images"])  # train_ardae keeps each in float32
+    data = (_load_noisy(out, im) for im in manifest["images"])  # train_ardae keeps each in float32
     params, history = train_ardae(cfg["ardae"], data)
     save_checkpoint(out / "checkpoint.npz", params, cfg["ardae"])
     running = float("inf")
@@ -331,7 +336,7 @@ def _recorded(out: Path, group, digest: str):
     has one, all are the same text, ``DenoiseReport.from_json`` takes it and it carries ``digest``; else None."""
     try:
         texts = {(out / f"estimate_{im['index']:03d}.json").read_text() for im in group}
-        report = DenoiseReport.from_json(texts.pop(), []) if len(texts) == 1 else None
+        report = DenoiseReport.from_json(texts.pop()) if len(texts) == 1 else None
     except (OSError, ValueError, KeyError, TypeError):  # missing, not text, not JSON or not a record
         return None
     return report if report and report.inputs == digest else None
@@ -357,7 +362,7 @@ def _blind_images(cfg, out: Path, images, backend, reuse=False):
     else:
         groups = [(dataclasses.replace(dn, seed=dn.seed + im["index"]), [im]) for im in images]
     for group_cfg, group in groups:
-        ys = [_check_positive(f"noisy tensor {out / im['noisy']}", load_tensor(out / im["noisy"])) for im in group]
+        ys = [_load_noisy(out, im) for im in group]
         digest = _group_digest(cfg, group_cfg, group, ys)
         report = _recorded(out, group, digest) if reuse else None
         if report is not None:

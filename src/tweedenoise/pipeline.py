@@ -83,16 +83,16 @@ class DenoiseReport:
         return json.dumps(keys, sort_keys=True, allow_nan=False)
 
     @classmethod
-    def from_json(cls, text: str, y1_scores) -> DenoiseReport:
-        """The report whose ``to_json`` is ``text``, for the group scored ``y1_scores`` at y1; a
-        ``null`` root reads as ``np.nan`` and ``n_singular``, which the formula counts, as 0.  Raises
+    def from_json(cls, text: str) -> DenoiseReport:
+        """The report whose ``to_json`` is ``text``, its ``y1_scores`` not yet set; a ``null`` root
+        reads as ``np.nan`` and ``n_singular``, which the formula counts, as 0.  Raises
         ValueError, KeyError or TypeError when ``text`` is no such record."""
         d = json.loads(text)
         me = ModelEstimate(d["rho_hat"], d["model"], d["mask_fraction"],
                            tuple(np.nan if r is None else r for r in d["roots"]), d["n_nonfinite"])
         le = None if d["level_value"] is None else LevelEstimate(
             d["model"], d["level_value"], d["level_pixel_count"], d["level_iqr"])
-        report = cls(d["backend"], me, le, y1_scores=y1_scores, seed=d["seed"], error=d["error"], inputs=d["inputs"])
+        report = cls(d["backend"], me, le, seed=d["seed"], error=d["error"], inputs=d["inputs"])
         # what to_json writes: the class of rho_hat, a level that a NoiseModel takes exactly when there
         # is no error, and finite numbers (to_json refuses others)
         if classify_model(me.rho_hat) != me.classified or (le is None) != bool(report.error):

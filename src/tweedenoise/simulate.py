@@ -58,10 +58,6 @@ class GmmPrior:
         object.__setattr__(self, "means", tuple(float(x) for x in m))
         object.__setattr__(self, "stds", tuple(float(x) for x in s))
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "GmmPrior":
-        return cls(tuple(d["weights"]), tuple(d["means"]), tuple(d["stds"]))
-
 
 @dataclass(frozen=True)
 class SynthSpec:

@@ -21,7 +21,7 @@ from tweedenoise import (
     train_ardae,
 )
 from tweedenoise import ardae
-from tweedenoise.ardae import PATCH_BLOCK, _adam_step
+from tweedenoise.ardae import IN_GAIN, PATCH_BLOCK
 
 TINY = ArdaeConfig(
     sigma_a_max=0.05, sigma_a_min=0.01, schedule_len=4, epochs=4,
@@ -50,7 +50,6 @@ def test_config_validation():
         with pytest.raises(DomainError):
             ArdaeConfig(**bad)
     cfg = ArdaeConfig(patch_radius=2, hidden=(32,))
-    assert cfg.patch_dim == 25
     assert cfg.layer_sizes == [25, 32, 1]
 
 
@@ -71,22 +70,31 @@ def test_init_shapes_and_determinism():
 # ---------------------------------------------------------------------------
 # loss
 
+def zero_net(layer_sizes):
+    p = init_mlp(layer_sizes, 0)
+    for a in p.weights + p.biases:
+        a[:] = 0.0
+    return p
+
+
 def test_loss_is_zero_when_network_cancels_noise():
-    rng = np.random.default_rng(2)
-    batch = rng.uniform(0.1, 1.0, (64, 9))
-    sigma_a = 0.0625  # power of two: u -> u/s -> s*(u/s) is lossless
-    u = training_noise(7, 64, 9)
-    hook = lambda noisy: -u[:, 4] / sigma_a
-    loss, grads = ardae_loss_and_grad(None, batch, sigma_a, seed=7, _forward=hook)
-    assert loss == 0.0
-    assert grads is None  # hooked evaluation has no parameters to differentiate
+    # a linear net whose center weight undoes the input gain and the probe scale, on a center column of
+    # 0.5, the input shift: sigma_a R = -u_c up to the float32 rounding of the input 0.5 + sigma_a u_c
+    sigma_a = 0.0625
+    p = zero_net([9, 1])
+    p.weights[0][4, 0] = -1.0 / (IN_GAIN * sigma_a**2)
+    batch = np.random.default_rng(2).uniform(0.1, 1.0, (64, 9))
+    batch[:, 4] = 0.5
+    loss, (gws, gbs) = ardae_loss_and_grad(p, batch, sigma_a, seed=7)
+    assert loss <= 1e-12
+    assert [g.shape for g in gws + gbs] == [(9, 1), (1,)]
 
 
 def test_loss_of_zero_network_is_center_noise_power():
     rng = np.random.default_rng(3)
     batch = rng.uniform(0.1, 1.0, (128, 25))
     u = training_noise(9, 128, 25)
-    loss, _ = ardae_loss_and_grad(None, batch, 0.03, seed=9, _forward=lambda n: np.zeros(len(n)))
+    loss, _ = ardae_loss_and_grad(zero_net([25, 8, 1]), batch, 0.03, seed=9)
     assert loss == np.mean(u[:, 12] ** 2)
 
 
@@ -210,16 +218,14 @@ def test_geometric_schedule_errors():
 def train_reference(config, data):
     """train_ardae as it was before batches were gathered from the images:
     one concatenated patch matrix, indexed per batch, and new arrays in
-    every step."""
+    every step; Adam (0.9, 0.999) and the EMA written out here."""
     arrays = [data] if isinstance(data, np.ndarray) else list(data)
     X = np.concatenate([extract_patches(a, config.patch_radius) for a in arrays], axis=0)
     params = init_mlp(config.layer_sizes, config.seed)
     schedule = geometric_schedule(config.sigma_a_max, config.sigma_a_min, config.schedule_len)
     rng = np.random.default_rng(np.random.SeedSequence([config.seed, 12]))
-    state = {
-        "w": [(np.zeros_like(w), np.zeros_like(w)) for w in params.weights],
-        "b": [(np.zeros_like(b), np.zeros_like(b)) for b in params.biases],
-    }
+    b1, b2, eps, decay = 0.9, 0.999, 1e-8, config.ema_decay
+    moments = [(np.zeros_like(a), np.zeros_like(a)) for a in params.weights + params.biases]
     history, t = [], 0
     for epoch in range(config.epochs):
         lr = config.lr / 10.0 if epoch >= config.epochs // 2 else config.lr
@@ -230,10 +236,14 @@ def train_reference(config, data):
             if idx.size < 2:
                 continue
             sigma_a = schedule[rng.integers(0, config.schedule_len)]
-            loss, grads = ardae_loss_and_grad(params, X[idx], sigma_a, int(rng.integers(0, 2**63 - 1)))
+            loss, (gws, gbs) = ardae_loss_and_grad(params, X[idx], sigma_a, int(rng.integers(0, 2**63 - 1)))
             t += 1
-            _adam_step(params, grads, state, lr, t)
-            ema_update(params, config.ema_decay)
+            for a, g, (m, v) in zip(params.weights + params.biases, gws + gbs, moments):
+                m[:] = b1 * m + (1 - b1) * g
+                v[:] = b2 * v + (1 - b2) * g * g
+                a -= lr * (m / (1 - b1**t)) / (np.sqrt(v / (1 - b2**t)) + eps)
+            for a, ema in zip(params.weights + params.biases, params.ema_weights + params.ema_biases):
+                ema[:] = decay * ema + (1 - decay) * a
             losses.append(loss)
         history.append((epoch, float(np.mean(losses)), lr))
     return params, history
@@ -357,7 +367,7 @@ def test_one_training_step_stays_float32(monkeypatch):
         "input": [x], "output": [out], "activation": acts + back_acts, "dout": [dout],
         # mlp_backward leaves each hidden layer's delta in that layer's activation buffer
         "delta": [delta_buffer] + back_acts[1:], "weight gradient": gws, "bias gradient": gbs,
-        "adam moment": [a for key in ("w", "b") for pair in state[key] for a in pair],
+        "adam moment": [a for pair in state for a in pair],
         "parameter": params.weights + params.biases, "ema": params.ema_weights + params.ema_biases,
     }
     for what, group in arrays.items():
@@ -380,12 +390,14 @@ def test_eval_score_is_pure_and_uses_ema():
     rng = np.random.default_rng(8)
     p = init_mlp([9, 8, 1], 4)
     y = rng.uniform(0.2, 0.9, (12, 12))
-    np.testing.assert_array_equal(eval_score(p, y).values, eval_score(p, y).values)
-    p.ema_weights[0][:] += 0.5  # only the shadow copy moves
-    a = eval_score(p, y, use_ema=True).values
-    b = eval_score(p, y, use_ema=False).values
+    a = eval_score(p, y).values
+    np.testing.assert_array_equal(a, eval_score(p, y).values)
+    p.weights[0][:] += 0.5  # the raw weights move: inference reads the shadow copy only
+    np.testing.assert_array_equal(eval_score(p, y).values, a)
+    p.ema_weights[0][:] += 0.5  # the shadow copy moves
+    b = eval_score(p, y).values
     assert not np.array_equal(a, b)
-    out, _ = mlp_forward(p, extract_patches(y, 1), use_ema=False)
+    out, _ = mlp_forward(p, extract_patches(y, 1), use_ema=True)
     np.testing.assert_array_equal(b, out.reshape(y.shape))
 
 

@@ -234,15 +234,15 @@ def test_config_error_exit_codes(tmp_path, capsys):
     manifest.write_text(json.dumps(dict(good, images=[first, {k: v for k, v in second.items() if k != "clean"},
                                                       *rest])))
     assert run("eval", str(tmp_path / "base.json")) == 2
-    # a noisy pixel that is not finite and positive, the rule of the formula, in each command that estimates;
-    # the message names the tensor
+    # a noisy pixel that is not finite and positive, the rule of the formula, in each command that reads the
+    # noisy tensors; the message names the tensor
     for value in (0.0, -0.5, np.nan, np.inf):
         assert run("synth", str(tmp_path / "base.json")) == 0
         y = load_tensor(out / "noisy_001.f32")
         y[3, 3] = value
         save_tensor(out / "noisy_001.f32", y)
         capsys.readouterr()
-        for command in ("estimate", "denoise", "eval"):
+        for command in ("estimate", "denoise", "eval", "train"):
             assert run(command, str(tmp_path / "base.json")) == 2, (command, value)
             assert f"noisy tensor {out / 'noisy_001.f32'}" in capsys.readouterr().err, (command, value)
 
@@ -961,11 +961,12 @@ def test_train_zero_epochs_equals_init(tmp_path):
     assert rows == []
 
 
-def test_train_divergence_exit_code(tmp_path):
+def test_train_divergence_exit_code(tmp_path, capsys):
     out = tmp_path / "td"
-    cfg_path = write_config(tmp_path, train_config(out))
+    cfg = train_config(out)
+    cfg["ardae"]["lr"] = 1e30  # the first step overflows the weights
+    cfg_path = write_config(tmp_path, cfg)
     assert run("synth", cfg_path) == 0
-    poisoned = load_tensor(out / "noisy_000.f32")
-    poisoned[10, 10] = np.nan
-    save_tensor(out / "noisy_000.f32", poisoned)
+    capsys.readouterr()
     assert run("train", cfg_path) == 4
+    assert "diverged at epoch 0: non-finite loss" in capsys.readouterr().err

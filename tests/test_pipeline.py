@@ -155,17 +155,18 @@ def test_denoise_report_json_round_trip(monkeypatch):
     reports.append(dataclasses.replace(exc.value.report, inputs="ab" * 32))
     for rep in reports:
         text = rep.to_json()
-        assert DenoiseReport.from_json(text, rep.y1_scores) == rep
-        assert DenoiseReport.from_json(text, rep.y1_scores).to_json() == text
+        back = dataclasses.replace(DenoiseReport.from_json(text), y1_scores=rep.y1_scores)
+        assert back == rep
+        assert back.to_json() == text
     assert json.loads(reports[1].to_json())["roots"] == [None, -0.5]  # JSON has no NaN
     assert [r.level_estimate is None for r in reports] == [False, False, True, True]
     with pytest.raises(KeyError):
-        DenoiseReport.from_json('{"backend": "oracle-gaussian"}', [])
+        DenoiseReport.from_json('{"backend": "oracle-gaussian"}')
     # a record the success's could not be: another class, a level no model takes or none without an
     # error, a number that is not finite
     for edit in ({"model": "gamma"}, {"level_value": -1.0}, {"level_value": None}, {"mask_fraction": np.nan}):
         with pytest.raises(ValueError):
-            DenoiseReport.from_json(json.dumps(dict(json.loads(reports[0].to_json()), **edit)), [])
+            DenoiseReport.from_json(json.dumps(dict(json.loads(reports[0].to_json()), **edit)))
 
 
 def test_unknown_classification_aborts_with_report():

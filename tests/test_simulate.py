@@ -34,6 +34,9 @@ def test_rng_for_is_deterministic_and_streams_are_separate():
 # priors and specs
 
 def test_prior_validation():
+    # the config's JSON lists make the prior, as parse_config builds it
+    d = {"weights": [0.5, 0.5], "means": [0.3, 0.9], "stds": [0.02, 0.02]}
+    assert GmmPrior(**json.loads(json.dumps(d))) == P2
     with pytest.raises(DomainError):
         GmmPrior((0.5, 0.4), (0.3, 0.9), (0.02, 0.02))  # weights don't sum to 1
     with pytest.raises(DomainError):
@@ -49,11 +52,6 @@ def test_prior_validation():
                 ((0.5, 0.5), (0.3, 0.9), (nan, 0.02)), ((0.5, 0.5), (0.3, 0.9), (0.02, inf))):
         with pytest.raises(DomainError, match="finite"):
             GmmPrior(*bad)
-
-
-def test_prior_from_dict_roundtrip():
-    d = {"weights": [0.5, 0.5], "means": [0.3, 0.9], "stds": [0.02, 0.02]}
-    assert GmmPrior.from_dict(json.loads(json.dumps(d))) == P2
 
 
 def test_synth_spec_validation():
