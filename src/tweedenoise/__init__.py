@@ -5,21 +5,6 @@ single noisy image plus a score function, then denoise with the matching
 posterior-mean formula.
 """
 
-from .ardae import (
-    ArdaeConfig,
-    MlpParams,
-    ardae_loss_and_grad,
-    ema_update,
-    eval_score,
-    extract_patches,
-    geometric_schedule,
-    gradient_check,
-    init_mlp,
-    load_checkpoint,
-    mlp_forward,
-    save_checkpoint,
-    train_ardae,
-)
 from .errors import (
     DomainError,
     EstimationFailure,
@@ -77,3 +62,17 @@ from .tweedie import (
 )
 
 __version__ = "0.1.0"
+
+
+# the AR-DAE exports import tweedenoise.ardae on first use (PEP 562), so oracle-backend runs never load it
+_LAZY_EXPORTS = ("ArdaeConfig", "MlpParams", "ardae_loss_and_grad", "ema_update", "eval_score", "extract_patches",
+                 "geometric_schedule", "gradient_check", "init_mlp", "load_checkpoint", "mlp_forward",
+                 "save_checkpoint", "train_ardae")
+
+
+def __getattr__(name: str):
+    if name not in _LAZY_EXPORTS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from . import ardae
+    globals().update((n, getattr(ardae, n)) for n in _LAZY_EXPORTS)
+    return globals()[name]

@@ -190,7 +190,8 @@ def ardae_loss_and_grad(params: MlpParams, batch: np.ndarray, sigma_a: float, se
     noisy += batch
     r, acts = mlp_forward(params, noisy, acts=acts)
     resid = u_c + sigma_a * r
-    loss = float(np.mean(resid**2))
+    with np.errstate(over="ignore"):  # a diverging step is reported by its non-finite loss alone
+        loss = float(np.mean(resid**2))
     if not np.isfinite(loss):
         raise TrainingDivergence(f"non-finite loss {loss!r}")
     dout = 2.0 * sigma_a * resid / n

@@ -49,7 +49,6 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .ardae import ArdaeConfig, eval_score, load_checkpoint, save_checkpoint, train_ardae
 from .errors import (
     DomainError,
     EstimationFailure,
@@ -167,7 +166,8 @@ def parse_config(path, seed=None) -> dict:
     """Load and validate a config file into the value types the commands use.
 
     ``seed`` (``--seed``) replaces the config's, in the seeded objects too:
-    ``denoise`` (``DenoiseCfg``) and ``ardae`` (``ArdaeConfig``).  A
+    ``denoise`` (``DenoiseCfg``) and ``ardae`` (``ArdaeConfig``), set only by an
+    ``ardae`` section: only it, an ``ardae:`` backend and ``train`` import ``tweedenoise.ardae``.  A
     ``synth`` section gives ``synth``, a ``SynthSpec`` of seed 0 that
     ``synth`` reseeds per image, and ``count``; a ``noise`` section gives
     ``truth``, the true ``NoiseModel`` (sigma^2 inside), and ``noise_level``.
@@ -207,8 +207,10 @@ def parse_config(path, seed=None) -> dict:
     cfg["denoise"] = DenoiseCfg(seed=seed, **{k: float(v) for k, v in est.items() if k != "pooled"})
     cfg["pooled"] = est.get("pooled", False)
 
-    ar = _section(raw.get("ardae", {}), "ardae")
-    cfg["ardae"] = ArdaeConfig(seed=seed, **(dict(ar, hidden=tuple(ar["hidden"])) if "hidden" in ar else ar))
+    if "ardae" in raw:  # checked in every command; train defaults a missing one
+        from .ardae import ArdaeConfig
+        ar = _section(raw["ardae"], "ardae")
+        cfg["ardae"] = ArdaeConfig(seed=seed, **(dict(ar, hidden=tuple(ar["hidden"])) if "hidden" in ar else ar))
 
     sb = cfg["score_backend"] = raw.get("score_backend", "oracle-gaussian")
     ckpt = cfg["checkpoint"] = Path(sb.split(":", 1)[1]) if sb.startswith("ardae:") else None
@@ -231,6 +233,7 @@ def _need_truth(cfg, what: str):
 def make_backend(cfg):
     """Score-field closure y -> ScoreField for the configured backend."""
     if cfg["checkpoint"] is not None:
+        from .ardae import eval_score, load_checkpoint
         params, _ = load_checkpoint(cfg["checkpoint"])
         return lambda y: eval_score(params, y)
     sb = cfg["score_backend"]
@@ -296,11 +299,13 @@ def cmd_synth(cfg) -> int:
 
 
 def cmd_train(cfg) -> int:
+    from .ardae import ArdaeConfig, save_checkpoint, train_ardae
     out = Path(cfg["out_dir"])
     manifest = _load_manifest(out, cfg)
     data = (_load_noisy(out, im) for im in manifest["images"])  # train_ardae keeps each in float32
-    params, history = train_ardae(cfg["ardae"], data)
-    save_checkpoint(out / "checkpoint.npz", params, cfg["ardae"])
+    ar = cfg.get("ardae") or ArdaeConfig(seed=cfg["seed"])
+    params, history = train_ardae(ar, data)
+    save_checkpoint(out / "checkpoint.npz", params, ar)
     running = float("inf")
     with open(out / "loss.csv", "w", newline="") as fh:
         wr = csv.writer(fh)

@@ -32,12 +32,12 @@ are posterior cumulants with d: Cov(v, d) and k(v, d, d).
 Both E[f | y] and E[x | y] are 1-D functions of y fixed by (prior, model),
 so the checked score and the oracle column read them from one table per
 (prior, model, order), ``posterior_table``: quintic Hermite interpolation
-of the values and both derivatives on a uniform grid from EPS_Y over a span
-set by the prior and the model.  Its step is halved until the interpolant
-meets direct quadrature at every cell midpoint, and each cell is also
-checked against half the quadrature order, so a pixel in an unconverged
-cell fails loudly rather than returning an unconverged score.  A pixel's
-value is then a pure function of its own y.  Pixels above the span are
+of the values and both derivatives on a grid from EPS_Y over a span set by
+the prior and the model.  A cell is split until its interpolant meets direct
+quadrature at its midpoint, and each is checked against half the quadrature
+order, so a pixel in an unconverged cell fails loudly rather than returning
+an unconverged score.  Kept cells are re-expanded onto the finest step, and
+a pixel's value is a pure function of its own y.  Pixels above the span are
 evaluated directly, with the same order-halving check.
 scipy is imported only where it is used: digamma, in the Poisson score.
 """
@@ -46,6 +46,7 @@ from __future__ import annotations
 
 import functools
 import logging
+import math
 import time
 from dataclasses import dataclass
 
@@ -60,7 +61,7 @@ QUAD_ORDER = 48  # per-component Gauss-Legendre points
 QUAD_SPAN = 8.0  # integrate each component over mean +- QUAD_SPAN stds
 CONVERGENCE_TOL = 1e-6  # max |score(order) - score(2*order)| allowed
 QUAD_BLOCK = 2048  # pixels per block of the quadrature kernel
-TABLE_STEP = 2.0**-10  # the first table step tried; halved until the midpoint check passes
+TABLE_STEP = 2.0**-10  # the table's first step; a cell failing the midpoint check is halved
 TABLE_MIN_STEP = 2.0**-15  # the last
 MIDPOINT_TOL = 1e-10  # max |score| gap of the table's interpolant at a cell midpoint
 MIDPOINT_RTOL = 1e-13  # max relative E[x | y] gap there
@@ -203,16 +204,20 @@ class PosteriorTable:
     ok: np.ndarray
 
 
-def _hermite_coef(values, step: float) -> np.ndarray:
-    """(6, 2, cells) power coefficients in t of the quintic that matches the
-    values and the first two y-derivatives of E[f] and E[x] at both ends of
-    each cell; ``values`` is quadrature_posterior's tuple with slopes."""
-    v, d, s = np.stack(values[0:2]), step * np.stack(values[2:4]), step * step * np.stack(values[4:6])
-    a = v[:, 1:] - v[:, :-1] - d[:, :-1] - 0.5 * s[:, :-1]
-    b = d[:, 1:] - d[:, :-1] - s[:, :-1]
-    c = s[:, 1:] - s[:, :-1]
-    return np.stack([v[:, :-1], d[:, :-1], 0.5 * s[:, :-1],
+def _hermite_coef(ends, step: float) -> np.ndarray:
+    """(6, 2, cells) power coefficients in t of the quintic that matches the values and the first two
+    y-derivatives of E[f] and E[x] at both ends of each cell: ``ends[:6, i]`` holds quadrature_posterior's
+    tuple with slopes at cell i's low and high node."""
+    (v0, d0, s0), (v1, d1, s1) = ((e[0:2], step * e[2:4], step * step * e[4:6]) for e in (ends[..., 0], ends[..., 1]))
+    a = v1 - v0 - d0 - 0.5 * s0
+    b = d1 - d0 - s0
+    c = s1 - s0
+    return np.stack([v0, d0, 0.5 * s0,
                      10.0 * a - 4.0 * b + 0.5 * c, -15.0 * a + 7.0 * b - c, 6.0 * a - 3.0 * b + 0.5 * c])
+
+
+# t = (k + u)/2 on the low (k = 0) and the high (k = 1) half of a cell: _HALVES[k, j, i] takes t^i to u^j
+_HALVES = np.array([[[math.comb(i, j) * k**max(i - j, 0) / 2**i for i in range(6)] for j in range(6)] for k in (0, 1)])
 
 
 def _horner(coef, t):
@@ -230,42 +235,57 @@ def posterior_table(prior: GmmPrior, model: NoiseModel, order: int) -> Posterior
     built once per (prior, model, order) and returned read-only.
 
     The span runs from EPS_Y to QUAD_SPAN noise standard deviations above
-    the highest prior component's node range; the step starts at
-    TABLE_STEP and is halved until every cell that passes the order check
-    also passes the midpoint check, or TABLE_MIN_STEP is reached.  A cell
-    passes the order check when the score at order//2 and at ``order``
+    the highest prior component's node range, in cells of TABLE_STEP.  A
+    cell passes the order check when the score at order//2 and at ``order``
     agree within CONVERGENCE_TOL at both its nodes, and the midpoint check
     when the interpolant at its midpoint agrees with direct quadrature
     within MIDPOINT_TOL on the score and MIDPOINT_RTOL relative on E[x].
-    Neither the span nor the step depends on any data."""
+    A cell that passes both is kept, and the others are split at their
+    midpoints until no cell fails the midpoint check alone, or down to
+    TABLE_MIN_STEP; the kept quintics are then re-expanded onto the final
+    step.  Neither the span nor the step depends on any data."""
     t0 = time.perf_counter()
     scale = _score_scale(model)
     x_hi = max(m + QUAD_SPAN * sd for m, sd in zip(prior.means, prior.stds))
     noise_sd = np.sqrt(model.level * x_hi) if model.kind is ModelKind.POISSON else x_hi / np.sqrt(model.level)
     top, step = x_hi + QUAD_SPAN * noise_sd, TABLE_STEP
-    while True:
-        ys = EPS_Y + step * np.arange(int(np.ceil((top - EPS_Y) / step)) + 1)
+    points = np.zeros(2, dtype=int)  # evaluated at order and at order // 2
+
+    def checked_nodes(ys):  # (7, ys.size): quadrature_posterior's tuple with slopes, then the order gap
         fine = quadrature_posterior(ys, prior, model, order, slopes=True)
-        node_gap = scale * np.abs(quadrature_posterior(ys, prior, model, order // 2)[0] - fine[0])
-        order_gap = np.maximum(node_gap[:-1], node_gap[1:])
-        coef = _hermite_coef(fine, step)
-        e_f, e_x = quadrature_posterior(ys[:-1] + 0.5 * step, prior, model, order)
-        mid_f, mid_x = _horner(coef, 0.5)
+        points[:] += ys.size
+        return np.stack([*fine, scale * np.abs(quadrature_posterior(ys, prior, model, order // 2)[0] - fine[0])])
+
+    cells = np.arange(int(np.ceil((top - EPS_Y) / step)))  # the unsettled cells' indices at this step
+    nodes = checked_nodes(EPS_Y + step * np.arange(cells.size + 1))
+    ends = np.stack([nodes[:, :-1], nodes[:, 1:]], axis=-1)  # (7, cells, 2): each cell's low and high node
+    tab_coef, tab_ok = np.zeros((6, 2, cells.size)), np.zeros(cells.size, dtype=bool)  # all cells at this step
+    kept, worst = [], np.zeros(3)  # cells kept per level; the worst order and midpoint gaps over them
+    while True:
+        coef = _hermite_coef(ends, step)
+        converged, mid = ends[6].max(axis=1) <= CONVERGENCE_TOL, EPS_Y + step * cells + 0.5 * step
+        (mid_f, mid_x), (e_f, e_x) = _horner(coef, 0.5), quadrature_posterior(mid, prior, model, order)
+        points[0] += mid.size
         mid_gap = scale * np.abs(mid_f - e_f), np.abs(mid_x / e_x - 1.0)
-        gap = np.maximum(mid_gap[0] / MIDPOINT_TOL, mid_gap[1] / MIDPOINT_RTOL)
-        converged = order_gap <= CONVERGENCE_TOL
-        if step <= TABLE_MIN_STEP or np.all(gap[converged] <= 1.0):
+        ok = converged & (np.maximum(mid_gap[0] / MIDPOINT_TOL, mid_gap[1] / MIDPOINT_RTOL) <= 1.0)
+        kept.append(np.count_nonzero(ok))
+        worst = np.maximum(worst, [np.max(g[ok], initial=0.0) for g in (ends[6], *mid_gap)])
+        final = step <= TABLE_MIN_STEP or np.array_equal(ok, converged)  # no cell fails the midpoint check alone
+        keep = ok | final
+        tab_coef[:, :, cells[keep]], tab_ok[cells[keep]] = coef[:, :, keep], ok[keep]
+        if final:
             break
-        step /= 2.0
-    ok = converged & (gap <= 1.0)
-    coef.flags.writeable = ok.flags.writeable = False
-    log.info(
-        "quadrature table %s %g, order %d: step %.3g, %d cells, %d failing; over the others the worst order gap"
-        " %.2e, midpoint gaps %.2e on the score and %.2e relative on E[x]; built in %.3f s",
-        model.kind.value, model.level, order, step, ok.size, ok.size - np.count_nonzero(ok),
-        *(np.max(g[ok], initial=0.0) for g in (order_gap, *mid_gap)), time.perf_counter() - t0,
-    )
-    return PosteriorTable(step, coef, ok)
+        node = checked_nodes(mid[~keep])  # the new node between each split cell's halves
+        ends = np.stack([ends[:, ~keep, 0], node, node, ends[:, ~keep, 1]], axis=-1).reshape(7, -1, 2)
+        cells, step = (2 * cells[~keep, None] + (0, 1)).ravel(), step / 2.0
+        tab_coef, tab_ok = np.einsum("kji,iqn->jqnk", _HALVES, tab_coef).reshape(6, 2, -1), np.repeat(tab_ok, 2)
+    tab_coef.flags.writeable = tab_ok.flags.writeable = False
+    log.info("quadrature table %s %g, order %d: step %.3g, %d cells, %d failing; %d and %d points at orders %d"
+             " and %d; cells kept per level %s; over them the worst order gap %.2e, midpoint gaps %.2e on the"
+             " score and %.2e relative on E[x]; built in %.3f s", model.kind.value, model.level, order, step,
+             tab_ok.size, np.count_nonzero(~tab_ok), *points, order, order // 2, "/".join(map(str, kept)), *worst,
+             time.perf_counter() - t0)
+    return PosteriorTable(step, tab_coef, tab_ok)
 
 
 def posterior_moment(y, prior: GmmPrior, model: NoiseModel, order: int, q: int) -> np.ndarray:

@@ -36,7 +36,7 @@ from tweedenoise import (
     save_checkpoint,
     save_tensor,
 )
-from tweedenoise import cli, pipeline
+from tweedenoise import ardae, cli, pipeline
 from tweedenoise.cli import main
 
 SIGMA = 25.0 / 255.0
@@ -329,6 +329,22 @@ def test_cli_start_up_and_gaussian_estimate_load_no_scipy(tmp_path):
     assert after_estimate == "[]"
     assert after_eval == "[] 0"  # the record was reused
     assert loaded_ma == "False"
+
+
+def test_oracle_commands_do_not_import_ardae(tmp_path):
+    # only an ardae section, an ardae: backend or train loads the network module
+    script = "import sys\nfrom tweedenoise import cli\n"
+    for model, level, backend in (("gaussian", 25, "oracle-gaussian"), ("gamma", 50, "oracle-quadrature")):
+        c = base_config(tmp_path / model)
+        c["noise"], c["score_backend"], c["synth"]["count"] = {"model": model, "level": level}, backend, 1
+        cfg_path = write_config(tmp_path, c, f"{model}.json")
+        script += "".join(f"assert cli.main([{c!r}, '--config', {cfg_path!r}]) == 0\n" for c in ("synth", "estimate"))
+    script += "print('tweedenoise.ardae' in sys.modules)\n"
+    src = str(Path(cli.__file__).resolve().parents[1])
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, timeout=300,
+                          env={**os.environ, "PYTHONPATH": src})
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines() == ["False"]
 
 
 def test_cli_train_loads_no_numpy_ma(tmp_path):
@@ -908,8 +924,8 @@ def test_eval_loads_the_checkpoint_once(tmp_path, monkeypatch):
     assert run("synth", cfg_path) == 0
     assert run("train", cfg_path) == 0
     loads = []
-    real = cli.load_checkpoint
-    monkeypatch.setattr(cli, "load_checkpoint", lambda path: loads.append(path) or real(path))
+    real = ardae.load_checkpoint
+    monkeypatch.setattr(ardae, "load_checkpoint", lambda path: loads.append(path) or real(path))
     cfg["score_backend"] = f"ardae:{out / 'checkpoint.npz'}"
     assert run("eval", write_config(tmp_path, cfg, "eval.json")) == 0
     assert len(loads) == 1
@@ -961,12 +977,16 @@ def test_train_zero_epochs_equals_init(tmp_path):
     assert rows == []
 
 
-def test_train_divergence_exit_code(tmp_path, capsys):
+def test_train_divergence_exit_code(tmp_path):
     out = tmp_path / "td"
     cfg = train_config(out)
     cfg["ardae"]["lr"] = 1e30  # the first step overflows the weights
     cfg_path = write_config(tmp_path, cfg)
     assert run("synth", cfg_path) == 0
-    capsys.readouterr()
-    assert run("train", cfg_path) == 4
-    assert "diverged at epoch 0: non-finite loss" in capsys.readouterr().err
+    # in a fresh interpreter, so stderr is all a user sees: the one-line message and no numpy warning
+    src = str(Path(cli.__file__).resolve().parents[1])
+    done = subprocess.run([sys.executable, "-m", "tweedenoise.cli", "train", "--config", cfg_path],
+                          capture_output=True, text=True, timeout=300, env={**os.environ, "PYTHONPATH": src})
+    assert done.returncode == 4
+    assert "diverged at epoch 0: non-finite loss" in done.stderr
+    assert "RuntimeWarning" not in done.stderr

@@ -1,3 +1,4 @@
+import logging
 import tracemalloc
 
 import numpy as np
@@ -16,6 +17,7 @@ from tweedenoise import (
     numeric_marginal_score,
     posterior_mean_field,
 )
+from tweedenoise import scores
 from tweedenoise.scores import QUAD_BLOCK, _component_nodes, posterior_table, quadrature_posterior
 
 P2 = GmmPrior((0.5, 0.5), (0.3, 0.9), (0.02, 0.02))
@@ -217,6 +219,42 @@ def test_quadrature_kernel_matches_logsumexp_reference(model, shape):
     if score.size:
         assert np.max(np.abs(score - ref_score)) <= 1e-9
         assert np.max(np.abs(mean - ref_mean) / ref_mean) <= 1e-12
+
+
+P6 = GmmPrior((1 / 6,) * 6, (0.1, 0.25, 0.4, 0.55, 0.7, 0.85), (0.01,) * 6)
+TABLE_MODELS = [NoiseModel(ModelKind.GAMMA, 50.0), NoiseModel(ModelKind.GAMMA, 100.0),
+                NoiseModel(ModelKind.POISSON, 0.01), NoiseModel(ModelKind.POISSON, 0.05)]
+
+
+@pytest.mark.parametrize("model", TABLE_MODELS, ids=lambda m: f"{m.kind.value}-{m.level:g}")
+@pytest.mark.parametrize("prior", [PALETTE, P58, P6], ids=["palette", "p58", "p6"])
+def test_refined_table_meets_direct_quadrature_over_its_span(prior, model):
+    # cells kept at a coarser step are re-expanded onto the final one; every served value must still
+    # meet the order-96 kernel within the logsumexp test's bounds, wherever the table serves y
+    table = posterior_table(prior, model, 96)
+    y = np.linspace(0.999 * EPS_Y, EPS_Y + table.step * table.ok.size, 2**16, endpoint=False)
+    y = y[table.ok[np.clip(((y - EPS_Y) / table.step).astype(int), 0, None)]]
+    assert y.size > 0.9 * 2**16
+    score = numeric_marginal_score(y, prior, model).values
+    assert np.max(np.abs(score - numeric_marginal_score(y, prior, model, order=96, check=False).values)) <= 1e-9
+    mean = posterior_mean_field(y, prior, model)
+    assert np.max(np.abs(mean / quadrature_posterior(y, prior, model, 96)[1] - 1.0)) <= 1e-12
+
+
+def test_refined_table_evaluates_few_kernel_points(monkeypatch, caplog):
+    # the uniform halving of the gamma-quad workload's table took 28,725 order-96 points
+    points = []
+    real = scores.quadrature_posterior
+    monkeypatch.setattr(scores, "quadrature_posterior",
+                        lambda y, prior, model, order, slopes=False: points.append((order, np.size(y)))
+                        or real(y, prior, model, order, slopes))
+    posterior_table.cache_clear()
+    with caplog.at_level(logging.INFO, logger="tweedenoise"):
+        table = posterior_table(PALETTE, NoiseModel(ModelKind.GAMMA, 50.0), 96)
+    fine, coarse = (sum(n for order, n in points if order == q) for q in (96, 48))
+    assert fine <= 6000
+    assert table.step == 2.0**-12 and table.ok.all()
+    assert f"{fine} and {coarse} points at orders 96 and 48" in caplog.text  # the build's run.log line
 
 
 def test_quadrature_nodes_are_built_once_and_read_only():

@@ -80,11 +80,16 @@ def test_the_check_sees_unused_privates():
 
 
 def unreached_exports(init: str, readers) -> list:
-    """(line, name) of each name that the package ``init`` source imports that no source in
-    ``readers`` reads: by name, as an attribute or in an import."""
+    """(line, name) of each name that the package ``init`` source imports, or lists in its
+    ``_LAZY_EXPORTS`` tuple of names imported on first use, that no source in ``readers`` reads:
+    by name, as an attribute or in an import."""
     read = names_read(ast.parse(source) for source in readers)
-    imported = [(alias.lineno, alias.asname or alias.name) for node in ast.walk(ast.parse(init))
+    tree = ast.parse(init)
+    imported = [(alias.lineno, alias.asname or alias.name) for node in ast.walk(tree)
                 if isinstance(node, ast.ImportFrom) for alias in node.names]
+    imported += [(elt.lineno, elt.value) for node in tree.body if isinstance(node, ast.Assign)
+                 and any(isinstance(t, ast.Name) and t.id == "_LAZY_EXPORTS" for t in node.targets)
+                 for elt in node.value.elts]
     return sorted((line, name) for line, name in imported if name not in read)
 
 
@@ -102,7 +107,8 @@ def test_every_export_is_reached():
 
 
 def test_the_check_sees_unreached_exports():
-    init = "from .a import (\n    f,\n    g as h,\n    K,\n)\nfrom .b import v, w\n__version__ = '1'\n"
+    init = ("from .a import (\n    f,\n    g as h,\n    K,\n)\nfrom .b import v, w\n__version__ = '1'\n"
+            "_LAZY_EXPORTS = (\n    'x',\n    'z',\n)\n")
     a = "def f():\n    return K\nclass K:\n    pass\n"
-    b = "import pkg\nfrom pkg import w\npkg.f(pkg.g)\n"  # h is read by its exported name or not at all
-    assert unreached_exports(init, [a, b]) == [(3, "h"), (6, "v")]
+    b = "import pkg\nfrom pkg import w\npkg.f(pkg.g, pkg.z)\n"  # h is read by its exported name or not at all
+    assert unreached_exports(init, [a, b]) == [(3, "h"), (6, "v"), (9, "x")]
