@@ -153,9 +153,10 @@ def mlp_backward(params: MlpParams, acts, dout: np.ndarray, work=None):
 
 def _workspace(layer_sizes, n: int):
     """DTYPE buffers for training steps of up to n rows, each used through
-    its leading rows: the gathered batch; each layer's activations, input
-    and output included, the input's first holding the probe noise; and
-    mlp_backward's flat delta buffer of n * max(hidden) entries."""
+    its leading rows: the probe noise; each layer's activations, input and
+    output included, the input's first holding the gathered and then the
+    probed batch; and mlp_backward's flat delta buffer of n * max(hidden)
+    entries."""
     return (
         np.empty((n, layer_sizes[0]), DTYPE),
         [np.empty((n, s), DTYPE) for s in layer_sizes],
@@ -163,32 +164,45 @@ def _workspace(layer_sizes, n: int):
     )
 
 
-def ardae_loss_and_grad(params: MlpParams, batch: np.ndarray, sigma_a: float, seed: int, work=None):
+def _draw_noise(seed: int, out: np.ndarray) -> np.ndarray:
+    """``out``, filled with the probe noise u of the step seeded ``seed``: a
+    standard-normal draw in out's dtype.  Numpy alone, as the training
+    loop's worker thread runs it."""
+    np.random.default_rng(np.random.SeedSequence([int(seed), 11])).standard_normal(out=out, dtype=out.dtype)
+    return out
+
+
+def _probe(batch: np.ndarray, noise: np.ndarray, sigma_a: float) -> np.ndarray:
+    """Adds sigma_a * u into ``batch`` in place, u being ``noise``, which
+    then holds sigma_a * u; returns u's center column, a copy."""
+    u_c = noise[:, noise.shape[1] // 2].copy()
+    noise *= noise.dtype.type(sigma_a)  # a float64 scalar would compute sigma_a * u in float64 under NEP 50
+    batch += noise
+    return u_c
+
+
+def ardae_loss_and_grad(params: MlpParams, batch: np.ndarray, sigma_a: float, u_c: np.ndarray, work=None):
     """Loss mean (u_c + sigma_a R(y + sigma_a u))^2 over the batch and its
     exact parameter gradients (weight list, bias list), computed in the
     dtype of the weights: the network is always evaluated and differentiated.
 
-    ``batch`` is (N, D) with the center pixel at column D // 2; u is drawn
-    per element from the given seed.  ``work`` is (activations, delta
-    buffer) of ``_workspace``, the activations cut to N rows: u is drawn into
-    the input's buffer, of which only its center column is kept.
+    ``batch`` is the probed (N, D) batch y + sigma_a u with the center pixel
+    at column D // 2, and ``u_c`` the (N,) center column of u; ``_probe``
+    makes both from the patches y and the noise u.  ``work`` is
+    (activations, delta buffer) of ``_workspace``, the activations cut to N
+    rows; ``batch`` may be the input's buffer, which the forward pass
+    overwrites.
     """
     if sigma_a <= 0:
         raise DomainError(f"sigma_a must be positive, got {sigma_a}")
     dtype = params.weights[0].dtype
     sigma_a = dtype.type(sigma_a)  # a float64 scalar would promote the float32 arrays under NEP 50
-    batch = np.asarray(batch, dtype=dtype)
-    if batch.ndim != 2 or batch.shape[0] == 0:
-        raise DomainError("batch must be a nonempty (N, D) array")
-    n, d = batch.shape
-    rng = np.random.default_rng(np.random.SeedSequence([int(seed), 11]))
+    batch, u_c = np.asarray(batch, dtype=dtype), np.asarray(u_c, dtype=dtype)
+    if batch.ndim != 2 or batch.shape[0] == 0 or u_c.shape != batch.shape[:1]:
+        raise DomainError("batch must be a nonempty (N, D) array and u_c its (N,) center noise")
+    n = batch.shape[0]
     acts, back = (None, None) if work is None else work
-    noisy = np.empty((n, d), dtype) if acts is None else acts[0]
-    rng.standard_normal(out=noisy, dtype=dtype)  # u
-    u_c = noisy[:, d // 2].copy()
-    noisy *= sigma_a
-    noisy += batch
-    r, acts = mlp_forward(params, noisy, acts=acts)
+    r, acts = mlp_forward(params, batch, acts=acts)
     resid = u_c + sigma_a * r
     with np.errstate(over="ignore"):  # a diverging step is reported by its non-finite loss alone
         loss = float(np.mean(resid**2))
@@ -274,6 +288,20 @@ def geometric_schedule(sigma_a_max: float, sigma_a_min: float, T: int):
     return seq
 
 
+def _steps(config: ArdaeConfig, n_rows: int):
+    """Each training step's (epoch, rows, sigma_a, seed).  One generator
+    draws, epoch by epoch, the permutation of the rows and then each batch's
+    sigma_a and seed; a batch of fewer than 2 rows is skipped."""
+    schedule = geometric_schedule(config.sigma_a_max, config.sigma_a_min, config.schedule_len)
+    rng = np.random.default_rng(np.random.SeedSequence([int(config.seed), 12]))
+    for epoch in range(config.epochs):
+        perm = rng.permutation(n_rows)
+        for lo in range(0, n_rows, config.batch_size):
+            idx = perm[lo : lo + config.batch_size]
+            if idx.size >= 2:
+                yield epoch, idx, schedule[rng.integers(0, config.schedule_len)], int(rng.integers(0, 2**63 - 1))
+
+
 def train_ardae(config: ArdaeConfig, data) -> tuple:
     """Mini-batch AR-DAE training over the pooled patches of ``data``.
 
@@ -284,10 +312,14 @@ def train_ardae(config: ArdaeConfig, data) -> tuple:
     finite-loss snapshot.
 
     Each batch gathers its patches from the images, numbered image after
-    image in raster order, into buffers that every batch reuses.  Each
-    image is cast to DTYPE as it is read, so the data is held once; the
-    batches and every step's arithmetic are DTYPE too.
+    image in raster order, into the input activation's buffer, which every
+    batch reuses.  Each image is cast to DTYPE as it is read, so the data is
+    held once; the batches and every step's arithmetic are DTYPE too.  A
+    worker thread draws the next step's probe noise while a step runs its
+    passes, Adam and the EMA; the thread ends before this returns or raises.
     """
+    from concurrent.futures import ThreadPoolExecutor  # only training starts a thread
+
     data = [data] if isinstance(data, np.ndarray) else data
     arrays = [_as_image(np.asarray(a, DTYPE), config.patch_radius) for a in data]
     starts = np.cumsum([0] + [a.size for a in arrays])
@@ -295,31 +327,29 @@ def train_ardae(config: ArdaeConfig, data) -> tuple:
     if n_rows < 2:
         raise DomainError(f"training needs at least 2 pixels, got {n_rows}")
     params = init_mlp(config.layer_sizes, config.seed)
-    history = []
-    schedule = geometric_schedule(config.sigma_a_max, config.sigma_a_min, config.schedule_len)
-    rng = np.random.default_rng(np.random.SeedSequence([int(config.seed), 12]))
+    history, losses, t = [], [], 0
     state = [(np.zeros_like(a), np.zeros_like(a)) for a in params.weights + params.biases]
-    full_batch, full_acts, back = _workspace(config.layer_sizes, min(config.batch_size, n_rows))
-    m = config.ema_decay
-    t = 0
-    for epoch in range(config.epochs):
-        lr = config.lr / 10.0 if epoch >= config.epochs // 2 else config.lr
-        perm = rng.permutation(n_rows)
-        losses = []
-        for lo in range(0, n_rows, config.batch_size):
-            idx = perm[lo : lo + config.batch_size]
-            if idx.size < 2:
-                continue
-            sigma_a = schedule[rng.integers(0, config.schedule_len)]
-            step_seed = int(rng.integers(0, 2**63 - 1))
+    noise, full_acts, back = _workspace(config.layer_sizes, min(config.batch_size, n_rows))
+    steps = _steps(config, n_rows)
+    step = next(steps, None)
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        if step is not None:
+            drawn = pool.submit(_draw_noise, step[3], noise[: step[1].size])
+        while step is not None:
+            epoch, idx, sigma_a, _ = step
+            lr = config.lr / 10.0 if epoch >= config.epochs // 2 else config.lr
             # a ragged last batch uses the leading rows of the buffers
-            batch, acts = full_batch[: idx.size], [a[: idx.size] for a in full_acts]
+            acts = [a[: idx.size] for a in full_acts]
             owner = np.searchsorted(starts, idx, side="right") - 1
             for k in np.flatnonzero(np.bincount(owner)):  # np.unique would import numpy.ma
                 rows = owner == k
-                batch[rows] = extract_patches(arrays[k], config.patch_radius, idx[rows] - starts[k])
+                acts[0][rows] = extract_patches(arrays[k], config.patch_radius, idx[rows] - starts[k])
+            u_c = _probe(acts[0], drawn.result(), sigma_a)
+            step = next(steps, None)
+            if step is not None:  # the noise buffer is free again: the next u is drawn while this step runs
+                drawn = pool.submit(_draw_noise, step[3], noise[: step[1].size])
             try:
-                loss, grads = ardae_loss_and_grad(params, batch, sigma_a, step_seed, work=(acts, back))
+                loss, grads = ardae_loss_and_grad(params, acts[0], sigma_a, u_c, work=(acts, back))
             except TrainingDivergence as exc:
                 # a failed loss evaluation leaves params at the last good step
                 raise TrainingDivergence(
@@ -327,9 +357,11 @@ def train_ardae(config: ArdaeConfig, data) -> tuple:
                 ) from exc
             t += 1
             _adam_step(params, grads, state, lr, t)
-            ema_update(params, m)
+            ema_update(params, config.ema_decay)
             losses.append(loss)
-        history.append((epoch, float(np.mean(losses)), lr))
+            if step is None or step[0] != epoch:
+                history.append((epoch, float(np.mean(losses)), lr))
+                losses = []
     return params, history
 
 
@@ -405,9 +437,12 @@ def gradient_check(params: MlpParams, batch: np.ndarray, sigma_a: float, seed: i
 
     Probes GRADCHECK_PROBES entries spread across every weight/bias array of a
     float64 copy of ``params``, so the caller's params are left untouched.
+    Every loss evaluation sees one probed batch, its u drawn from ``seed``.
     """
     params = params.copy(np.float64)
-    _, (gws, gbs) = ardae_loss_and_grad(params, batch, sigma_a, seed)
+    probed = np.array(batch, np.float64)
+    u_c = _probe(probed, _draw_noise(seed, np.empty_like(probed)), sigma_a)
+    _, (gws, gbs) = ardae_loss_and_grad(params, probed, sigma_a, u_c)
     worst = 0.0
     rng = np.random.default_rng(np.random.SeedSequence([int(seed), 13]))
     for arr, g in zip(params.weights + params.biases, gws + gbs):
@@ -416,9 +451,9 @@ def gradient_check(params: MlpParams, batch: np.ndarray, sigma_a: float, seed: i
         for j in rng.choice(flat.size, size=min(GRADCHECK_PROBES, flat.size), replace=False):
             orig = flat[j]
             flat[j] = orig + GRADCHECK_STEP
-            lp, _ = ardae_loss_and_grad(params, batch, sigma_a, seed)
+            lp, _ = ardae_loss_and_grad(params, probed, sigma_a, u_c)
             flat[j] = orig - GRADCHECK_STEP
-            lm, _ = ardae_loss_and_grad(params, batch, sigma_a, seed)
+            lm, _ = ardae_loss_and_grad(params, probed, sigma_a, u_c)
             flat[j] = orig
             fd = (lp - lm) / (2 * GRADCHECK_STEP)
             denom = max(abs(fd), abs(gflat[j]), 1e-8)

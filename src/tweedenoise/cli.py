@@ -414,8 +414,7 @@ def cmd_denoise(cfg) -> int:
         if report.error:
             log.warning("image %s blind path failed: %s", im["index"], report.error)
         else:
-            estimated = NoiseModel(report.model_estimate.classified, report.level_estimate.value)
-            save_tensor(out / f"denoised_{im['index']:03d}.f32", denoise_known(y, estimated, lambda _: s1))
+            save_tensor(out / f"denoised_{im['index']:03d}.f32", denoise_known(y, report.noise_model, lambda _: s1))
             (out / f"denoise_{im['index']:03d}.json").write_text(report.to_json())
         del s1, report  # the group's scores, freed before the next group is scored
     log.info("denoise: wrote the denoised images to %s", out)
@@ -437,8 +436,7 @@ def cmd_eval(cfg) -> int:
         if report.error:
             log.warning("image %s blind path failed: %s", im["index"], report.error)
         else:
-            estimated = NoiseModel(report.model_estimate.classified, report.level_estimate.value)
-            row["blind"] = psnr(x, denoise_known(y, estimated, lambda _: s1))
+            row["blind"] = psnr(x, denoise_known(y, report.noise_model, lambda _: s1))
         row["known"] = psnr(x, denoise_known(y, truth, lambda _: s1))
         row["oracle"] = psnr(x, np.clip(posterior_mean_field(y, cfg["synth"].prior, truth), EPS_Y, 1.0))
         rows.append(row)

@@ -70,6 +70,12 @@ class DenoiseReport:
             return None
         return float(np.sqrt(le.value)) if le.kind == ModelKind.GAUSSIAN.value else le.value
 
+    @property
+    def noise_model(self) -> NoiseModel | None:
+        """The estimated NoiseModel: the classified family at the estimated level, or None with no level."""
+        le = self.level_estimate
+        return None if le is None else NoiseModel(self.model_estimate.classified, le.value)
+
     def to_json(self) -> str:
         """``estimate_NNN.json``: the index estimate (there must be one), the level, the probe and the
         inputs.  The level is stored in internal units too, as ``level_value``: sigma squared is not
@@ -147,8 +153,9 @@ def denoise_blind(y, score_backend, cfg: DenoiseCfg = DenoiseCfg()):
     """Blind denoising of a single image: the estimated model's formula at y1, with the
     score the estimate evaluated there, clamped to [EPS_Y, 1]; returns (xhat, DenoiseReport)."""
     me, le, pairs, f1 = blind_estimate([y], score_backend, cfg)
-    xhat, n_singular = denoise_field(pairs[0].y1, NoiseModel(me.classified, le.value), f1[0].values)
-    return np.clip(xhat, EPS_Y, 1.0), DenoiseReport(f1[0].backend, me, le, n_singular, y1_scores=f1, seed=cfg.seed)
+    report = DenoiseReport(f1[0].backend, me, le, y1_scores=f1, seed=cfg.seed)
+    xhat, report.n_singular = denoise_field(pairs[0].y1, report.noise_model, f1[0].values)
+    return np.clip(xhat, EPS_Y, 1.0), report
 
 
 def denoise_known(y, model: NoiseModel, score_backend):

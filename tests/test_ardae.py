@@ -1,4 +1,6 @@
+import inspect
 import json
+import threading
 import tracemalloc
 
 import numpy as np
@@ -30,8 +32,14 @@ TINY = ArdaeConfig(
 
 
 def training_noise(seed, n, d):
-    # the exact u stream ardae_loss_and_grad draws internally: float32, the network's dtype
+    # the exact u stream of a training step seeded `seed`: float32, the network's dtype
     return np.random.default_rng(np.random.SeedSequence([seed, 11])).standard_normal((n, d), dtype=np.float32)
+
+
+def probe(batch, sigma_a, seed):
+    """The float32 probed batch and u's center column, made by the helpers the training loop runs."""
+    probed = np.array(batch, np.float32)
+    return probed, ardae._probe(probed, ardae._draw_noise(seed, np.empty_like(probed)), sigma_a)
 
 
 def test_config_validation():
@@ -85,7 +93,8 @@ def test_loss_is_zero_when_network_cancels_noise():
     p.weights[0][4, 0] = -1.0 / (IN_GAIN * sigma_a**2)
     batch = np.random.default_rng(2).uniform(0.1, 1.0, (64, 9))
     batch[:, 4] = 0.5
-    loss, (gws, gbs) = ardae_loss_and_grad(p, batch, sigma_a, seed=7)
+    probed, u_c = probe(batch, sigma_a, 7)
+    loss, (gws, gbs) = ardae_loss_and_grad(p, probed, sigma_a, u_c)
     assert loss <= 1e-12
     assert [g.shape for g in gws + gbs] == [(9, 1), (1,)]
 
@@ -94,18 +103,28 @@ def test_loss_of_zero_network_is_center_noise_power():
     rng = np.random.default_rng(3)
     batch = rng.uniform(0.1, 1.0, (128, 25))
     u = training_noise(9, 128, 25)
-    loss, _ = ardae_loss_and_grad(zero_net([25, 8, 1]), batch, 0.03, seed=9)
+    probed, u_c = probe(batch, 0.03, 9)
+    np.testing.assert_array_equal(u_c, u[:, 12])
+    np.testing.assert_array_equal(probed, np.float32(0.03) * u + batch.astype(np.float32))
+    loss, _ = ardae_loss_and_grad(zero_net([25, 8, 1]), probed, 0.03, u_c)
     assert loss == np.mean(u[:, 12] ** 2)
 
 
 def test_loss_domain_errors():
     p = init_mlp([1, 4, 1], 0)
-    with pytest.raises(DomainError):
-        ardae_loss_and_grad(p, np.ones((4, 1)), 0.0, seed=0)
-    with pytest.raises(DomainError):
-        ardae_loss_and_grad(p, np.ones((0, 1)), 0.1, seed=0)
-    with pytest.raises(DomainError):
-        ardae_loss_and_grad(p, np.ones(4), 0.1, seed=0)
+    for batch, sigma_a, u_c in [
+        (np.ones((4, 1)), 0.0, np.ones(4)),
+        (np.ones((0, 1)), 0.1, np.ones(0)),
+        (np.ones(4), 0.1, np.ones(4)),
+        (np.ones((4, 1)), 0.1, np.ones(3)),  # u_c of another batch
+    ]:
+        with pytest.raises(DomainError):
+            ardae_loss_and_grad(p, batch, sigma_a, u_c)
+
+
+def test_loss_takes_params_then_batch():
+    # perfbench's _step_probe reads each step's params and batch at positions 0 and 1 to count its FLOPs
+    assert list(inspect.signature(ardae_loss_and_grad).parameters)[:2] == ["params", "batch"]
 
 
 def test_backprop_matches_finite_differences():
@@ -218,7 +237,8 @@ def test_geometric_schedule_errors():
 def train_reference(config, data):
     """train_ardae as it was before batches were gathered from the images:
     one concatenated patch matrix, indexed per batch, and new arrays in
-    every step; Adam (0.9, 0.999) and the EMA written out here."""
+    every step; the probe noise drawn in the step, on this thread; Adam
+    (0.9, 0.999) and the EMA written out here."""
     arrays = [data] if isinstance(data, np.ndarray) else list(data)
     X = np.concatenate([extract_patches(a, config.patch_radius) for a in arrays], axis=0)
     params = init_mlp(config.layer_sizes, config.seed)
@@ -235,8 +255,10 @@ def train_reference(config, data):
             idx = perm[lo : lo + config.batch_size]
             if idx.size < 2:
                 continue
-            sigma_a = schedule[rng.integers(0, config.schedule_len)]
-            loss, (gws, gbs) = ardae_loss_and_grad(params, X[idx], sigma_a, int(rng.integers(0, 2**63 - 1)))
+            sigma_a = np.float32(schedule[rng.integers(0, config.schedule_len)])
+            u = training_noise(int(rng.integers(0, 2**63 - 1)), idx.size, X.shape[1])
+            probed = sigma_a * u + X[idx].astype(np.float32)
+            loss, (gws, gbs) = ardae_loss_and_grad(params, probed, sigma_a, u[:, X.shape[1] // 2])
             t += 1
             for a, g, (m, v) in zip(params.weights + params.biases, gws + gbs, moments):
                 m[:] = b1 * m + (1 - b1) * g
@@ -319,15 +341,44 @@ def test_learning_rate_drops_halfway():
     assert epochs == [0, 1, 2, 3]
 
 
-def test_divergence_carries_last_good_snapshot():
-    rng = np.random.default_rng(7)
-    data = rng.uniform(0.1, 1.0, 2048)
+def poisoned_data():
+    data = np.random.default_rng(7).uniform(0.1, 1.0, 2048)
     data[777] = np.nan  # poisons the loss the first time this pixel is batched
+    return data
+
+
+def test_divergence_carries_last_good_snapshot():
     with pytest.raises(TrainingDivergence, match="epoch") as exc:
-        train_ardae(TINY, data)
+        train_ardae(TINY, poisoned_data())
     snap = exc.value.last_good
     assert snap is not None
     assert all(np.all(np.isfinite(w)) for w in snap.weights)
+
+
+@pytest.mark.parametrize("diverges", [False, True], ids=["returns", "raises"])
+def test_training_leaves_no_thread_running(monkeypatch, diverges):
+    draws, steps = [], []
+    draw, loss_and_grad = ardae._draw_noise, ardae.ardae_loss_and_grad
+
+    def spy_draw(seed, out):
+        draws.append(threading.current_thread())
+        return draw(seed, out)
+
+    def spy_step(*args, **kwargs):
+        steps.append(None)
+        return loss_and_grad(*args, **kwargs)
+
+    monkeypatch.setattr(ardae, "_draw_noise", spy_draw)
+    monkeypatch.setattr(ardae, "ardae_loss_and_grad", spy_step)
+    if diverges:
+        with pytest.raises(TrainingDivergence):
+            train_ardae(TINY, poisoned_data())
+    else:
+        train_ardae(TINY, np.nan_to_num(poisoned_data(), nan=0.5))
+    # each step's u is drawn on the worker; the step that diverges has submitted the next step's draw,
+    # so a draw is pending when it raises, and the worker finishes it before the thread ends
+    assert steps and len(draws) == len(steps) + diverges
+    assert all(t is not threading.main_thread() and not t.is_alive() for t in draws)
 
 
 def test_train_rejects_empty_data():

@@ -101,6 +101,7 @@ def test_blind_equals_known_at_estimated_model():
     _, y, backend, cfg = gaussian_scene()
     xhat, report = denoise_blind(y, backend, cfg)
     est = NoiseModel(ModelKind(report.model_estimate.classified), report.level_estimate.value)
+    assert report.noise_model == est
     np.testing.assert_array_equal(xhat, denoise_known(y, est, backend))
 
 
@@ -116,6 +117,7 @@ def test_denoise_report_to_json(monkeypatch):
     gamma = ModelEstimate(rho_hat=2.1, classified="gamma", mask_fraction=0.2, roots=(2.1, 0.0))
     rep = DenoiseReport("oracle-quadrature", gamma, LevelEstimate("gamma", 49.9, 4000, 3.0), y1_scores=scores)
     assert json.loads(rep.to_json())["level"] == 49.9  # k as estimated
+    assert rep.noise_model == NoiseModel("gamma", 49.9)
     # denoise_blind reports sigma, not the internal sigma^2, and its probe
     _, y, backend, cfg = gaussian_scene()
     _, rep = denoise_blind(y, backend, cfg)
@@ -133,6 +135,7 @@ def test_denoise_report_to_json(monkeypatch):
     assert rep.error == "only 3 valid pixels for gaussian level (quorum 16)"
     d = json.loads(rep.to_json())
     assert d["level"] is None and d["model"] == "gaussian" and d["seed"] == cfg.seed
+    assert rep.noise_model is None
     assert d["level_value"] is d["level_pixel_count"] is d["level_iqr"] is None and d["error"] == rep.error
 
 
