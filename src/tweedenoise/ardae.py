@@ -131,7 +131,9 @@ def mlp_backward(params: MlpParams, acts, dout: np.ndarray, work=None):
     hidden activation's weight gradient is taken, its buffer in ``acts``
     holds tanh' = 1 - a^2 and then the layer's delta.  ``work``, a flat
     buffer of at least N * max(hidden) entries, holds each delta before
-    its tanh' factor; one is made if not given."""
+    its tanh' factor; one is made if not given.  The head is one unit
+    wide, so its delta reaches the last hidden layer by a broadcast
+    product, which gives a one-term matmul's bits without its cost."""
     ws = params.weights
     if work is None:
         work = np.empty(len(dout) * max(params.layer_sizes[1:-1], default=0), ws[0].dtype)
@@ -140,11 +142,13 @@ def mlp_backward(params: MlpParams, acts, dout: np.ndarray, work=None):
     delta = dout[:, None]  # (N, 1)
     gws[-1] = acts[-1].T @ delta
     gbs[-1] = delta.sum(axis=0)
+    product = np.multiply  # (N, 1) by (1, H) through the head, then matmul through each hidden layer
     for i in range(len(ws) - 2, -1, -1):
         deriv = acts[i + 1]
         np.multiply(deriv, deriv, out=deriv)
         np.subtract(1.0, deriv, out=deriv)
-        nxt = np.matmul(delta, ws[i + 1].T, out=work[: deriv.size].reshape(deriv.shape))
+        nxt = product(delta, ws[i + 1].T, out=work[: deriv.size].reshape(deriv.shape))
+        product = np.matmul
         delta = np.multiply(nxt, deriv, out=deriv)
         gws[i] = acts[i].T @ delta
         gbs[i] = delta.sum(axis=0)

@@ -438,7 +438,8 @@ def cmd_eval(cfg) -> int:
         else:
             row["blind"] = psnr(x, denoise_known(y, report.noise_model, lambda _: s1))
         row["known"] = psnr(x, denoise_known(y, truth, lambda _: s1))
-        row["oracle"] = psnr(x, np.clip(posterior_mean_field(y, cfg["synth"].prior, truth), EPS_Y, 1.0))
+        oracle = posterior_mean_field(y, cfg["synth"].prior, truth)
+        row["oracle"] = psnr(x, np.clip(oracle, EPS_Y, 1.0, out=oracle))
         rows.append(row)
         del s1, report  # the group's scores, freed before the next group is scored
 

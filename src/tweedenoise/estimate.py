@@ -32,12 +32,15 @@ of the survivors reported if a NoiseModel takes it (Gamma needs k > 1).
 
 A group of images is estimated as one pool: the pair's fields and the score
 fields are then Pools of each image's arrays, read in order and never copied
-into one.  Both estimators work in blocks of BLOCK pixels, image by image,
-and gather what each mean or order statistic needs (the masked w, then the
-masked b, each sign's finite roots, the kept level values) into one
-pixel-sized buffer, so every statistic is that of the concatenated arrays,
-bit for bit, and memory beyond the probe data is that buffer and a few
-blocks.
+into one.  Both estimators work in blocks of BLOCK pixels (``scores``'
+element budget), image by image, computing into a few BLOCK-sized buffers
+made once per call, and gather what each mean or order statistic needs (the
+masked w, then the masked b, each sign's finite roots, the kept level
+values) into one pixel-sized buffer, so every statistic is that of the
+concatenated arrays, bit for bit, and memory beyond the probe data is that
+buffer, a mask byte per pixel and those blocks.  The buffered arithmetic
+keeps the operation order of the plain expressions, e.g. the discriminant
+first**2 - (4a)*((-2a)*bbar + wbar), so each pixel's value is theirs.
 """
 
 from __future__ import annotations
@@ -47,7 +50,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, EstimationFailure
-from .scores import Pool, ScoreField
+from .scores import BLOCK, Pool, ScoreField
 from .simulate import rng_for
 from .tweedie import EPS_Y, ModelKind, NoiseModel
 
@@ -56,7 +59,6 @@ DEFAULT_MASK_EPS = 1e-5
 RHO_ASSUMED = 2.2  # the constant of the mask rule
 LEVEL_DENOM_FLOOR = 1e-12
 LEVEL_QUORUM = 16
-BLOCK = 1 << 15  # pixels per block of the estimators' elementwise work
 
 UNKNOWN = "unknown"
 
@@ -93,7 +95,10 @@ def perturb(y1: np.ndarray, eps: float, seed: int) -> PerturbationPair:
     if eps < 0 or not np.isfinite(eps):
         raise DomainError(f"eps must be nonnegative, got {eps}")
     y1 = np.asarray(y1, dtype=np.float64)
-    return PerturbationPair(y1, np.maximum(y1 + eps * rng_for(seed, 2).standard_normal(y1.shape), EPS_Y))
+    u = rng_for(seed, 2).standard_normal(y1.shape)
+    u *= eps
+    u += y1
+    return PerturbationPair(y1, np.maximum(u, EPS_Y, out=u))
 
 
 def _blocks(*fields):
@@ -112,6 +117,13 @@ def _gather(buf: np.ndarray, parts) -> int:
     return k
 
 
+def _twice_product(y, v, out):
+    """2.0 * y * v, into ``out``."""
+    np.multiply(y, 2.0, out=out)
+    out *= v
+    return out
+
+
 def estimate_rho(
     pair: PerturbationPair,
     s1: ScoreField,
@@ -120,32 +132,49 @@ def estimate_rho(
 ) -> ModelEstimate:
     n = pair.y1.size
     buf, masks = np.empty(n), []  # every gather below reuses buf; masks are kept for the gather of b
+    tmp, flag = np.empty((4, min(n, BLOCK))), np.empty(min(n, BLOCK), dtype=bool)  # each block's work
 
     def masked_w():
         for y1, y2, v1, v2 in _blocks(pair.y1, pair.y2, s1.values, s2.values):
-            b = 2.0 * y1 * v1
-            w = 2.0 * y2 * v2 - b
+            b, w, ww = tmp[:3, :y1.size]
+            _twice_product(y1, v1, b)
+            _twice_product(y2, v2, w)
+            w -= b
             with np.errstate(all="ignore"):
-                ww = w / (RHO_ASSUMED + b)
-            masks.append(np.isfinite(ww) & (np.abs(ww) <= mask_eps))
-            yield w[masks[-1]]
+                np.divide(w, np.add(b, RHO_ASSUMED, out=ww), out=ww)
+            keep = np.isfinite(ww)
+            keep &= np.less_equal(np.abs(ww, out=ww), mask_eps, out=flag[:y1.size])
+            masks.append(keep)
+            yield w[keep]
 
     def finite_roots(sign):
-        # a*(rho - 2)*(rho + bbar) + wbar = 0, expanded to a standard quadratic
+        # a*(rho - 2)*(rho + bbar) + wbar = 0, expanded to a standard quadratic:
+        # p = (-first + sign*sqrt(first**2 - (4a)*((-2a)*bbar + wbar))) / (2a), first = a*(bbar - 2)
         for y1, y2 in _blocks(pair.y1, pair.y2):
-            a = np.log(y2 / y1)
-            first = a * (bbar - 2.0)
+            a, first, p, t = tmp[:, :y1.size]
+            np.log(np.divide(y2, y1, out=a), out=a)
+            np.multiply(a, bbar - 2.0, out=first)
             with np.errstate(all="ignore"):
-                disc = first**2 - 4.0 * a * (-2.0 * a * bbar + wbar)
-                p = (-first + sign * np.sqrt(disc)) / (2.0 * a)
-            yield p[np.isfinite(p)]
+                np.multiply(a, -2.0, out=p)
+                p *= bbar
+                p += wbar
+                np.multiply(a, 4.0, out=t)
+                t *= p
+                np.subtract(np.square(first, out=p), t, out=p)
+                np.sqrt(p, out=p)
+                p *= sign
+                p -= first
+                a *= 2.0
+                p /= a
+            yield p[np.isfinite(p, out=flag[:y1.size])]
 
     n_masked = _gather(buf, masked_w())
     if not n_masked:
         raise EstimationFailure(f"empty mask at mask_eps={mask_eps}; increase mask_eps or the image size")
     # a finite ww needs finite w and b, so these plain means are the NaN-ignoring ones
     wbar = float(buf[:n_masked].mean())
-    _gather(buf, ((2.0 * y1 * v1)[mask] for (y1, v1), mask in zip(_blocks(pair.y1, s1.values), masks)))
+    _gather(buf, (_twice_product(y1, v1, tmp[0, :y1.size])[mask]
+                  for (y1, v1), mask in zip(_blocks(pair.y1, s1.values), masks)))
     del masks
     bbar = float(buf[:n_masked].mean())
     roots, n_nonfinite = [], 0
@@ -180,23 +209,36 @@ def estimate_level(
     s2: ScoreField,
 ) -> LevelEstimate:
     kind = ModelKind(kind)
+    tmp, flags = np.empty((3, min(pair.y1.size, BLOCK))), np.empty((2, min(pair.y1.size, BLOCK)), dtype=bool)
 
     def kept():  # the kept per-pixel estimates, block by block
         for y1, y2, v1, v2 in _blocks(pair.y1, pair.y2, s1.values, s2.values):
-            ds, dy = v2 - v1, y2 - y1
+            ds, t, est = tmp[:, :y1.size]
+            keep, ok = flags[:, :y1.size]
+            np.subtract(v2, v1, out=ds)
             with np.errstate(all="ignore"):
                 if kind is ModelKind.GAUSSIAN:
-                    est = -dy / ds
-                    keep = (np.abs(ds) >= LEVEL_DENOM_FLOOR) & (dy != 0)
-                elif kind is ModelKind.POISSON:
-                    radicand = y1**2 - 2.0 * (dy / ds)
-                    keep = (np.abs(ds) >= LEVEL_DENOM_FLOOR) & (dy != 0) & (radicand >= 0)
-                    est = -y1 + np.sqrt(np.where(keep, radicand, 0.0))
+                    dy = np.subtract(y2, y1, out=t)
+                    np.divide(np.negative(dy, out=est), ds, out=est)  # -dy / ds
+                    np.greater_equal(np.abs(ds, out=ds), LEVEL_DENOM_FLOOR, out=keep)
+                    keep &= np.not_equal(dy, 0.0, out=ok)
+                elif kind is ModelKind.POISSON:  # -y1 + sqrt(y1**2 - 2.0 * (dy / ds)), 0 for sqrt where not kept
+                    dy = np.subtract(y2, y1, out=t)
+                    np.divide(dy, ds, out=est)
+                    est *= 2.0
+                    np.greater_equal(np.abs(ds, out=ds), LEVEL_DENOM_FLOOR, out=keep)
+                    keep &= np.not_equal(dy, 0.0, out=ok)
+                    radicand = np.subtract(np.square(y1, out=t), est, out=t)
+                    keep &= np.greater_equal(radicand, 0.0, out=ok)
+                    np.copyto(radicand, 0.0, where=np.logical_not(keep, out=ok))
+                    np.subtract(np.sqrt(radicand, out=radicand), y1, out=est)
                 else:
-                    dinv = 1.0 / y2 - 1.0 / y1
-                    est = 1.0 + ds / dinv
-                    keep = np.abs(dinv) >= LEVEL_DENOM_FLOOR
-            yield est[keep & np.isfinite(est)]
+                    dinv = np.subtract(np.divide(1.0, y2, out=t), np.divide(1.0, y1, out=est), out=t)
+                    np.divide(ds, dinv, out=est)
+                    est += 1.0
+                    np.greater_equal(np.abs(dinv, out=dinv), LEVEL_DENOM_FLOOR, out=keep)
+            keep &= np.isfinite(est, out=ok)
+            yield est[keep]
 
     vals = np.empty(pair.y1.size)
     n = _gather(vals, kept())

@@ -162,8 +162,8 @@ def denoise_known(y, model: NoiseModel, score_backend):
     """Known-model denoising: one score evaluation, one formula, clamp."""
     y = np.asarray(y, dtype=np.float64)
     s = score_backend(y)
-    xhat, _ = denoise_field(y, model, s.values)
-    return np.clip(xhat, EPS_Y, 1.0)
+    xhat = np.asarray(denoise_field(y, model, s.values)[0])  # the formula's own array; 0-d for a scalar y
+    return np.clip(xhat, EPS_Y, 1.0, out=xhat)[()]
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,11 @@
 
 Gaussian noise admits a closed-form marginal (each mixture component
 convolves to another Gaussian); ``gaussian_posterior`` evaluates its score
-and the oracle column component-major, per block of QUAD_BLOCK pixels.
+and the oracle column component-major, per block of BLOCK // K pixels for K
+components.  BLOCK is the element budget of the elementwise kernels: a
+kernel whose widest temporary holds r rows of a block's pixels takes
+BLOCK // r pixels a block, so its memory is bounded by BLOCK whatever the
+prior and the image size.
 Poisson and Gamma marginals are integrated by fixed-order Gauss-Legendre
 quadrature over each prior component, with the score taken by analytic
 differentiation under the integral:
@@ -25,9 +29,11 @@ normalisation, leaving c_j + y*d_j, with logw_j the node's log-weight:
     Gamma    c_j = logw_j + k*log(k/x_j),    d_j = -k/x_j
 
 ``quadrature_posterior`` evaluates it directly, in blocks of QUAD_BLOCK
-pixels, which bounds memory whatever the image size.  With ``slopes`` it
-also returns the first two y-derivatives of E[f | y] and E[x | y], which
-are posterior cumulants with d: Cov(v, d) and k(v, d, d).
+pixels, which bounds memory whatever the image size; its block is counted
+in pixels, as it sets the row tiling of the BLAS products and so their
+last bits.  With ``slopes`` it also returns the first two y-derivatives of
+E[f | y] and E[x | y], which are posterior cumulants with d: Cov(v, d) and
+k(v, d, d).
 
 Both E[f | y] and E[x | y] are 1-D functions of y fixed by (prior, model),
 so the checked score and the oracle column read them from one table per
@@ -61,6 +67,7 @@ QUAD_ORDER = 48  # per-component Gauss-Legendre points
 QUAD_SPAN = 8.0  # integrate each component over mean +- QUAD_SPAN stds
 CONVERGENCE_TOL = 1e-6  # max |score(order) - score(2*order)| allowed
 QUAD_BLOCK = 2048  # pixels per block of the quadrature kernel
+BLOCK = 1 << 15  # element budget of the elementwise kernels: BLOCK // r pixels a block, r rows a temporary
 TABLE_STEP = 2.0**-10  # the table's first step; a cell failing the midpoint check is halved
 TABLE_MIN_STEP = 2.0**-15  # the last
 MIDPOINT_TOL = 1e-10  # max |score| gap of the table's interpolant at a cell midpoint
@@ -103,17 +110,18 @@ def analytic_score_gaussian(y, prior: GmmPrior, sigma: float) -> ScoreField:
 
 def gaussian_posterior(y, prior: GmmPrior, var: float, gain, offset):
     """sum_j p(j | y) * (gain_j / v_j * (y - m_j) + offset_j) shaped like ``y``, v_j = s_j^2 + var.
-    Per block, one buffer row per component holds the logits c_j - (y - m_j)^2 / (2 v_j),
-    unexpanded to keep digits, shifted by their max and exponentiated in place."""
+    Per block of BLOCK // K pixels, one buffer row per component holds the logits
+    c_j - (y - m_j)^2 / (2 v_j), unexpanded to keep digits, shifted by their max and
+    exponentiated in place; another holds the deviations, so the buffer has 2 K rows."""
     m, v = np.asarray(prior.means)[:, None], np.square(prior.stds)[:, None] + var
     c = np.log(np.maximum(prior.weights, 1e-300))[:, None] - 0.5 * np.log(2.0 * np.pi * v)
     slope, offset = np.reshape(gain, (-1, 1)) / v, np.reshape(offset, (-1, 1))
     flat = np.asarray(y, dtype=np.float64).ravel()
-    out = np.empty_like(flat)
-    buf = np.empty((2, m.size, min(flat.size, QUAD_BLOCK)))
+    out, px = np.empty_like(flat), max(BLOCK // m.size, 1)
+    buf = np.empty((2, m.size, min(flat.size, px)))
     norm = np.empty(buf.shape[2])
-    for lo in range(0, flat.size, QUAD_BLOCK):
-        yb, res = flat[lo : lo + QUAD_BLOCK], out[lo : lo + QUAD_BLOCK]
+    for lo in range(0, flat.size, px):
+        yb, res = flat[lo : lo + px], out[lo : lo + px]
         dev, logit, z = buf[0, :, : yb.size], buf[1, :, : yb.size], norm[: yb.size]
         np.subtract(yb, m, out=dev)
         np.multiply(dev, dev, out=logit)
@@ -291,19 +299,19 @@ def posterior_table(prior: GmmPrior, model: NoiseModel, order: int) -> Posterior
 def posterior_moment(y, prior: GmmPrior, model: NoiseModel, order: int, q: int) -> np.ndarray:
     """E[f | y] (q = 0) or E[x | y] (q = 1) at quadrature ``order``, shaped
     like ``y``.  Within the span of ``posterior_table(prior, model, order)``
-    it is read from the table, in blocks of QUAD_BLOCK pixels, the first
-    cell also serving y from the intensity floor 0.999*EPS_Y up to EPS_Y; a
-    pixel in a cell that failed the table's checks raises
-    :class:`QuadratureError`.  Above the span it is evaluated directly, and
-    the score at order//2 and at ``order`` must agree within
-    CONVERGENCE_TOL."""
+    it is read from the table, in blocks of BLOCK // 6 pixels, as the gather
+    of their coefficients holds six rows; the first cell also serves y from
+    the intensity floor 0.999*EPS_Y up to EPS_Y, and a pixel in a cell that
+    failed the table's checks raises :class:`QuadratureError`.  Above the
+    span it is evaluated directly, and the score at order//2 and at
+    ``order`` must agree within CONVERGENCE_TOL."""
     y = _checked_domain(y)
     table = posterior_table(prior, model, order)
     flat, cells = y.ravel(), table.ok.size
-    out, above = np.empty_like(flat), np.empty(flat.shape, dtype=bool)
-    for lo in range(0, flat.size, QUAD_BLOCK):
-        t = (flat[lo : lo + QUAD_BLOCK] - EPS_Y) / table.step
-        off = np.greater_equal(t, cells, out=above[lo : lo + QUAD_BLOCK])
+    out, above, px = np.empty_like(flat), np.empty(flat.shape, dtype=bool), BLOCK // 6
+    for lo in range(0, flat.size, px):
+        t = (flat[lo : lo + px] - EPS_Y) / table.step
+        off = np.greater_equal(t, cells, out=above[lo : lo + px])
         i = np.clip(np.floor(t), 0, cells - 1)
         t -= i
         i = i.astype(np.intp)
@@ -313,7 +321,7 @@ def posterior_moment(y, prior: GmmPrior, model: NoiseModel, order: int, q: int) 
                 f"quadrature not converged at y = {flat[lo + np.argmax(bad)]:.6g}: its cell of the"
                 " quadrature table failed the order-doubling or the midpoint check"
             )
-        out[lo : lo + QUAD_BLOCK] = _horner(table.coef[:, q, i], t)
+        out[lo : lo + px] = _horner(table.coef[:, q, i], t)
     if above.any():
         ya = flat[above]
         fine = quadrature_posterior(ya, prior, model, order)

@@ -127,7 +127,9 @@ def psnr(a: np.ndarray, b: np.ndarray) -> float:
     b = np.asarray(b, dtype=np.float64)
     if a.shape != b.shape:
         raise DomainError(f"shape mismatch {a.shape} vs {b.shape}")
-    mse = float(np.mean((a - b) ** 2))
+    d = a - b
+    d *= d  # squared in place
+    mse = float(np.mean(d))
     if mse == 0.0:
         return float("inf")
     return 10.0 * math.log10(1.0 / mse)
@@ -142,7 +144,7 @@ def save_tensor(path, arr: np.ndarray) -> None:
     arr = np.asarray(arr)
     if arr.ndim != 2:
         raise DomainError(f"expected a 2-D tensor, got shape {arr.shape}")
-    path.write_bytes(arr.astype("<f4").tobytes(order="C"))
+    path.write_bytes(np.ascontiguousarray(arr, dtype="<f4"))
     sidecar = {"dtype": "f32", "shape": [int(arr.shape[0]), int(arr.shape[1])]}
     path.with_suffix(path.suffix + ".json").write_text(json.dumps(sidecar))
 

@@ -100,17 +100,22 @@ def test_gaussian_kernel_matches_logsumexp_reference(prior, shape):
 
 
 def test_gaussian_score_is_a_pure_function_of_each_pixel():
-    y = np.random.default_rng(6).uniform(EPS_Y, 1.2, size=(67, 71))  # several blocks, ragged tail
+    y = np.random.default_rng(6).uniform(EPS_Y, 1.2, size=(167, 171))  # several blocks, ragged tail
     whole = analytic_score_gaussian(y, PALETTE, SIGMA).values.ravel()
     np.testing.assert_array_equal(analytic_score_gaussian(y.ravel()[7:], PALETTE, SIGMA).values, whole[7:])
 
 
-def test_gaussian_memory_is_bounded_by_the_block():
-    # the pixels x components temporaries of a 512^2 field took 36.8 MiB
+P64 = GmmPrior((1 / 64,) * 64, tuple(np.linspace(0.05, 0.95, 64)), (0.01,) * 64)
+
+
+@pytest.mark.parametrize("prior", [PALETTE, P64], ids=["palette", "64-components"])
+def test_gaussian_memory_is_bounded_by_the_block(prior):
+    # the pixels x components temporaries of a 512^2 field took 36.8 MiB; blocks of 16,384 pixels
+    # would take 16 MiB with 64 components, so the block must be counted in elements
     y = np.random.default_rng(7).uniform(EPS_Y, 1.2, size=(512, 512))
     tracemalloc.start()
     try:
-        analytic_score_gaussian(y, PALETTE, SIGMA)
+        analytic_score_gaussian(y, prior, SIGMA)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -282,9 +287,28 @@ def test_quadrature_memory_is_bounded_by_the_block():
 
 @pytest.mark.parametrize("model", QUAD_MODELS, ids=lambda m: m.kind.value)
 def test_tabulated_score_and_column_are_pure_functions_of_each_pixel(model):
-    y = np.random.default_rng(20).uniform(0.3, 1.1, size=(67, 71))  # several blocks, ragged tail
+    y = np.random.default_rng(20).uniform(0.3, 1.1, size=(167, 171))  # several blocks, ragged tail
     for f in (lambda v: numeric_marginal_score(v, P58, model).values, lambda v: posterior_mean_field(v, P58, model)):
         np.testing.assert_array_equal(f(y.ravel()[7:]), f(y).ravel()[7:])
+
+
+def test_elementwise_kernels_are_independent_of_the_block_bitwise(monkeypatch):
+    # BLOCK = 999 gives the Gaussian kernel blocks of 499 pixels for PALETTE and of 15 for P64, and the
+    # table lookup blocks of 166, all with a ragged tail on 67 x 71; y above the table's span is
+    # evaluated directly, in blocks of QUAD_BLOCK pixels either way
+    y = np.random.default_rng(26).uniform(EPS_Y, 1.5, size=(67, 71))
+    gaussian = NoiseModel(ModelKind.GAUSSIAN, SIGMA**2)
+
+    def fields():
+        return ([analytic_score_gaussian(y, p, SIGMA).values for p in (PALETTE, P64)]
+                + [posterior_mean_field(y, p, gaussian) for p in (PALETTE, P64)]
+                + [f for m in QUAD_MODELS for f in (numeric_marginal_score(y, P58, m).values,
+                                                     posterior_mean_field(y, P58, m))])
+
+    default = fields()
+    monkeypatch.setattr(scores, "BLOCK", 999)
+    for got, want in zip(fields(), default, strict=True):
+        np.testing.assert_array_equal(got, want)
 
 
 @pytest.mark.parametrize("model", QUAD_MODELS, ids=lambda m: m.kind.value)
