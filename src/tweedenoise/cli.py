@@ -63,7 +63,7 @@ from .pipeline import (
     denoise_known,
     posterior_mean_field,
 )
-from .scores import analytic_score_gaussian, numeric_marginal_score
+from .scores import BLOCK, analytic_score_gaussian, numeric_marginal_score
 from .simulate import (
     GmmPrior,
     SynthSpec,
@@ -271,8 +271,11 @@ def _load_manifest(out_dir: Path, cfg):
 
 
 def _load_noisy(out: Path, im) -> np.ndarray:
-    """Manifest image ``im``'s noisy tensor, float64; a pixel not finite and positive exits 2, naming it."""
-    return _check_positive(f"noisy tensor {out / im['noisy']}", load_tensor(out / im["noisy"]))
+    """Manifest image ``im``'s noisy tensor, float32 as stored; a pixel not finite and positive exits 2,
+    naming it.  The check's float64 copy is dropped: the arithmetic widens each image where it runs."""
+    y = load_tensor(out / im["noisy"])
+    _check_positive(f"noisy tensor {out / im['noisy']}", y)
+    return y
 
 
 def cmd_synth(cfg) -> int:
@@ -320,7 +323,8 @@ def cmd_train(cfg) -> int:
 def _group_digest(cfg, group_cfg: DenoiseCfg, group, ys) -> str:
     """sha256 of everything that decides a group's estimate: the package version, the score backend and
     what ``make_backend`` reads for it (the checkpoint's bytes, or the prior and the true noise), pooling,
-    the group's DenoiseCfg (eps, mask_eps, probe seed), its image indices and each image's loaded pixels."""
+    the group's DenoiseCfg (eps, mask_eps, probe seed), its image indices and each image's pixels as
+    float64."""
     import hashlib  # here, off the start-up path that every command shares
 
     sb = cfg["score_backend"]
@@ -331,8 +335,10 @@ def _group_digest(cfg, group_cfg: DenoiseCfg, group, ys) -> str:
     else:
         h.update(json.dumps([dataclasses.astuple(cfg["synth"].prior), cfg["truth"].kind.value,
                              cfg["noise_level"]]).encode())
-    for y in ys:
-        h.update(y)
+    for y in ys:  # widened block by block: records that hashed float64 images still match
+        flat = y.ravel()
+        for lo in range(0, flat.size, BLOCK):
+            h.update(np.ascontiguousarray(flat[lo:lo + BLOCK], dtype=np.float64))
     return h.hexdigest()
 
 

@@ -34,12 +34,13 @@ A group of images is estimated as one pool: the pair's fields and the score
 fields are then Pools of each image's arrays, read in order and never copied
 into one.  Both estimators work in blocks of BLOCK pixels (``scores``'
 element budget), image by image, computing into a few BLOCK-sized buffers
-made once per call, and gather what each mean or order statistic needs (the
-masked w, then the masked b, each sign's finite roots, the kept level
-values) into one pixel-sized buffer, so every statistic is that of the
-concatenated arrays, bit for bit, and memory beyond the probe data is that
-buffer, a mask byte per pixel and those blocks.  The buffered arithmetic
-keeps the operation order of the plain expressions, e.g. the discriminant
+made once per call (a float32 y1 is widened block by block into one more),
+and gather what each mean or order statistic needs (the masked w, then the
+masked b, each sign's finite roots, the kept level values) into one
+pixel-sized buffer, so every statistic is that of the concatenated float64
+arrays, bit for bit, and memory beyond the probe data is that buffer, a
+mask byte per pixel and those blocks.  The buffered arithmetic keeps the
+operation order of the plain expressions, e.g. the discriminant
 first**2 - (4a)*((-2a)*bbar + wbar), so each pixel's value is theirs.
 """
 
@@ -91,10 +92,13 @@ class LevelEstimate:
 
 def perturb(y1: np.ndarray, eps: float, seed: int) -> PerturbationPair:
     """The probe pair y1, max(y1 + eps*u, EPS_Y) with u standard normal from
-    ``rng_for(seed, 2)``, not kept; eps = 0 degenerates to y2 = y1 exactly."""
+    ``rng_for(seed, 2)``, not kept; eps = 0 degenerates to y2 = y1 exactly.
+    A float32 y1 is kept as it is, any other as float64; y2 is float64, and
+    the sum widens y1 exactly."""
     if eps < 0 or not np.isfinite(eps):
         raise DomainError(f"eps must be nonnegative, got {eps}")
-    y1 = np.asarray(y1, dtype=np.float64)
+    y1 = np.asarray(y1)
+    y1 = y1.astype(np.float32 if y1.dtype == np.float32 else np.float64, copy=False)
     u = rng_for(seed, 2).standard_normal(y1.shape)
     u *= eps
     u += y1
@@ -102,10 +106,21 @@ def perturb(y1: np.ndarray, eps: float, seed: int) -> PerturbationPair:
 
 
 def _blocks(*fields):
-    """The fields' aligned flat blocks of BLOCK pixels; Pools image by image, in order."""
+    """The fields' aligned flat float64 blocks of BLOCK pixels; Pools image by image, in order.  A block
+    of another dtype (a float32 y1) is widened into its field's one reused buffer: under NEP 50 a float32
+    array computes with a Python float in float32, which would change the estimators' bits."""
+    wide = [None] * len(fields)
     for arrays in zip(*(f if isinstance(f, Pool) else (f,) for f in fields), strict=True):
         flat = [np.ravel(x) for x in arrays]
-        yield from ([x[lo:lo + BLOCK] for x in flat] for lo in range(0, flat[0].size, BLOCK))
+        for lo in range(0, flat[0].size, BLOCK):
+            block = [x[lo:lo + BLOCK] for x in flat]
+            for j, x in enumerate(block):
+                if x.dtype != np.float64:
+                    if wide[j] is None:
+                        wide[j] = np.empty(BLOCK)
+                    block[j] = wide[j][:x.size]
+                    block[j][...] = x
+            yield block
 
 
 def _gather(buf: np.ndarray, parts) -> int:
@@ -245,18 +260,30 @@ def estimate_level(
     if n < LEVEL_QUORUM:
         raise EstimationFailure(f"only {n} valid pixels for {kind.value} level (quorum {LEVEL_QUORUM})")
     vals = vals[:n]
-    # np.median and np.percentile (linear), written out over one partition at their order positions;
-    # n >= LEVEL_QUORUM > 1, so each quartile's upper neighbour i + 1 is inside vals
-    at = [(n - 1) * 0.75, (n - 1) * 0.25]  # the quartiles' fractional positions
-    below = [int(x) for x in at]
-    vals.partition(sorted({(n - 1) // 2, n // 2, *below, *(i + 1 for i in below)}))
-    value = float(vals[(n - 1) // 2:n // 2 + 1].mean())  # the middle value, or the middle two's mean
+    # np.median and np.percentile (linear), written out over one-position partitions of nested views:
+    # numpy selects one position in SIMD, several by introselect.  Partitioned at the middle, vals holds
+    # the values below it in low and those above it in high; n >= LEVEL_QUORUM = 16 puts each quartile
+    # and its upper neighbour i + 1 inside one of them, and a neighbour above is the minimum of its part
+    mid = (n - 1) // 2
+    vals.partition(mid)
+    low, high = vals[:mid], vals[mid + 1:]
+    middle = vals[mid:mid + 1] if n % 2 else np.array([vals[mid], high.min()])
+    value = float(middle.mean())  # the middle value, or the middle two's mean
     try:
         NoiseModel(kind, value)  # finite and positive, Gamma k > 1
     except DomainError:
         raise EstimationFailure(f"degenerate {kind.value} level estimate {value!r}") from None
-    q75, q25 = (_lerp(vals[i], vals[i + 1], x - i) for x, i in zip(at, below))
+    at = [(n - 1) * 0.75, (n - 1) * 0.25]  # the quartiles' fractional positions
+    below = [int(x) for x in at]
+    q75, q25 = (_lerp(*_selected(part, i - start), x - i)
+                for x, i, part, start in zip(at, below, (high, low), (mid + 1, 0)))
     return LevelEstimate(kind=kind.value, value=value, pixel_count=n, iqr=float(q75 - q25))
+
+
+def _selected(part, i):
+    """The i-th and (i + 1)-th smallest values of ``part``, by one partition at i."""
+    part.partition(i)
+    return part[i], part[i + 1:].min()
 
 
 def _lerp(a, b, t):

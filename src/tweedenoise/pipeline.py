@@ -115,7 +115,8 @@ def blind_estimate(ys, score_backend, cfg: DenoiseCfg):
     Returns (model_estimate, level_estimate, pairs, s1_list).  Estimation
     statistics are pooled across all images in ``ys``: the estimators read
     each image's probe pair and scores in place, as Pools, so no probe pixel
-    is copied and each pair's y1 is its image itself (as float64).  The
+    is copied and each pair's y1 is its image itself (float32 as it is, any
+    other dtype as float64; the results are those of its float64 copy).  The
     per-image pairs and y1-scores are returned, so callers can apply the
     formula without re-evaluating the backend.  Raises
     :class:`ValidationError` for no images and :class:`EstimationFailure`

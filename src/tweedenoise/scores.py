@@ -365,6 +365,9 @@ def numeric_marginal_score(
     E[f | y] comes from ``posterior_moment`` at ``2 * order``, checked
     against ``order``: an unconverged pixel raises :class:`QuadratureError`.
     """
+    if check:  # y is checked before the table is built, but not widened for good until it is built
+        _checked_domain(y)
+        posterior_table(prior, model, 2 * order)
     y = _checked_domain(y)
     e_f = posterior_moment(y, prior, model, 2 * order, 0) if check else quadrature_posterior(y, prior, model, order)[0]
     return ScoreField(_score(y, e_f, model), backend="oracle-quadrature")

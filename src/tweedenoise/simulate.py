@@ -150,11 +150,15 @@ def save_tensor(path, arr: np.ndarray) -> None:
 
 
 def load_tensor(path) -> np.ndarray:
+    """The 2-D tensor that ``save_tensor`` wrote, as the float32 array it is stored in."""
     path = Path(path)
     try:
         meta = json.loads(path.with_suffix(path.suffix + ".json").read_text())
         h, w = meta["shape"]
-        raw = np.frombuffer(path.read_bytes(), dtype="<f4")
+        with path.open("rb") as fh:
+            raw = np.fromfile(fh, dtype="<f4")
+            if fh.read(1):  # fromfile stops before a partial float
+                raise ValueError("payload size is not a multiple of 4 bytes")
     except (OSError, ValueError, KeyError, TypeError) as exc:  # missing file, bad JSON, no 2-entry shape
         raise ValidationError(f"tensor {path} is missing or malformed: {exc}") from exc
     if not all(type(n) is int and n >= 0 for n in (h, w)):  # bools, floats and negatives break reshape
@@ -163,4 +167,4 @@ def load_tensor(path) -> np.ndarray:
         raise DomainError(f"unsupported dtype {meta.get('dtype')!r}")
     if raw.size != h * w:
         raise DomainError(f"payload holds {raw.size} floats, sidecar says {h}x{w}")
-    return raw.reshape(h, w).astype(np.float64)
+    return raw.reshape(h, w)

@@ -550,8 +550,10 @@ def test_blind_images_hold_one_copy_of_the_pixels(synth_run, monkeypatch, pooled
 
     ys = []
     for k, (im, y, s1, _) in enumerate(cli._blind_images(cfg, out, cli._load_manifest(out, cfg)["images"], spy)):
-        # the probe's y1, scored first of each image's two calls, is the loaded tensor itself
+        # the probe's y1, scored first of each image's two calls, is the loaded tensor itself: the float32
+        # array on disk
         assert scored[2 * k] is y is loaded[k]() and len(loaded) == len(scored) // 2 == (4 if pooled else k + 1)
+        assert y.dtype == np.float32 and y.tobytes() == (out / im["noisy"]).read_bytes()
         np.testing.assert_array_equal(y, real(out / im["noisy"]))
         np.testing.assert_array_equal(s1.values, backend(y).values)  # the image's score alone
         ys.append(y)
@@ -858,6 +860,18 @@ def test_a_record_of_another_checkpoint_is_never_used(tmp_path, monkeypatch):
     assert run("eval", cfg_path) == 0
     assert len(calls) == 2 * 2
     assert_matches_eval_without_records(out, cfg_path)
+
+
+def test_group_digest_hashes_the_float64_pixels(synth_run, monkeypatch):
+    # the loaded float32 images hash as their float64 copies, in any block size, so records written when
+    # images loaded as float64 keep their digest
+    out, cfg_path, _ = synth_run
+    cfg = cli.parse_config(cfg_path)
+    images = cli._load_manifest(out, cfg)["images"]
+    ys = [cli._load_noisy(out, im) for im in images]
+    wide = cli._group_digest(cfg, cfg["denoise"], images, [y.astype(np.float64) for y in ys])
+    monkeypatch.setattr(cli, "BLOCK", 999)
+    assert [y.dtype for y in ys] == [np.float32] * 4 and cli._group_digest(cfg, cfg["denoise"], images, ys) == wide
 
 
 def assert_matches_eval_without_records(out, cfg_path, *extra):

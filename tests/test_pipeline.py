@@ -259,21 +259,59 @@ def test_blind_estimate_needs_an_image():
 
 def test_pooled_estimation_memory_is_bounded():
     # 16 x 256^2 pixels: y2 and the two scores take 24 MiB beside the images, one gather buffer 8 MiB,
-    # so 38 MiB leaves no room for a copy of any probe array
+    # so 38 MiB leaves no room for a copy of any probe array; float32 images are kept as their pairs' y1
+    # (34.3 MiB), where a float64 copy of each would take 8 MiB more (42.1 MiB)
     model = NoiseModel(ModelKind.GAUSSIAN, SIG**2)
-    ys = [
+    images = [
         sample_noisy(gen_clean(SynthSpec("piecewise_constant", 256, 256, PAL, regions=64, seed=i)), model, seed=100 + i)
         for i in range(16)
     ]
     backend = lambda v: analytic_score_gaussian(v, PAL, SIG)
-    tracemalloc.start()
-    try:
-        me, le, _, _ = blind_estimate(ys, backend, DenoiseCfg(seed=3))
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert me.classified == "gaussian" and le.pixel_count > 0.99 * 16 * 256 * 256
-    assert peak <= 38 * 2**20
+    for dtype in (np.float64, np.float32):
+        ys = [y.astype(dtype) for y in images]
+        tracemalloc.start()
+        try:
+            me, le, _, _ = blind_estimate(ys, backend, DenoiseCfg(seed=3))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert me.classified == "gaussian" and le.pixel_count > 0.99 * 16 * 256 * 256, dtype
+        assert peak <= 38 * 2**20, dtype
+
+
+@pytest.mark.parametrize("model, size", [(NoiseModel(ModelKind.GAUSSIAN, SIG**2), 64),
+                                         (NoiseModel(ModelKind.POISSON, 0.01), 128),
+                                         (NoiseModel(ModelKind.GAMMA, 50.0), 96)], ids=["gaussian", "poisson", "gamma"])
+def test_float32_images_estimate_as_their_float64_copies_bitwise(model, size):
+    # a float32 image is its pair's y1 as it is, and widens exactly wherever arithmetic runs: the pooled and
+    # the per-image estimates, failed ones too, the probes, the scores and the outputs equal those of its
+    # float64 copy bit for bit. The pooled estimate takes each family, so each family's level branch runs
+    if model.kind is ModelKind.GAUSSIAN:
+        backend = lambda v: analytic_score_gaussian(v, PAL, SIG)
+    else:
+        backend = lambda v: numeric_marginal_score(v, PAL, model)
+    images = [sample_noisy(gen_clean(SynthSpec("piecewise_constant", size, size, PAL, regions=64, seed=s)), model,
+                           seed=50 + s).astype(np.float32) for s in range(3)]
+
+    def run(ys):  # (the pooled model estimate, every report's fields, every array)
+        me, le, pairs, f1 = blind_estimate(ys, backend, DenoiseCfg(seed=7))
+        assert [p.y1 is y for p, y in zip(pairs, ys)] == [True] * len(ys)
+        fields, arrays = [repr((me, le))], [*(p.y2 for p in pairs), *(s.values for s in f1)]
+        for i, y in enumerate(ys):
+            try:
+                xhat, report = denoise_blind(y, backend, DenoiseCfg(seed=i))
+                arrays += [xhat, report.y1_scores[0].values]
+            except EstimationFailure as exc:
+                report = exc.report
+            fields.append(repr((report.model_estimate, report.level_estimate, report.n_singular, report.error)))
+        return me, fields, arrays
+
+    me, fields, arrays = run(images)
+    me64, fields64, arrays64 = run([y.astype(np.float64) for y in images])
+    assert me.classified == model.kind.value
+    assert fields == fields64
+    for a, b in zip(arrays, arrays64, strict=True):
+        assert a.dtype == b.dtype == np.float64 and a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
 def test_backend_call_budget():

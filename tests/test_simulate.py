@@ -11,6 +11,7 @@ from tweedenoise import (
     ModelKind,
     NoiseModel,
     SynthSpec,
+    ValidationError,
     gen_clean,
     load_tensor,
     psnr,
@@ -184,7 +185,9 @@ def test_tensor_roundtrip(tmp_path):
     save_tensor(p, arr)
     meta = json.loads((tmp_path / "img.f32.json").read_text())
     assert meta == {"dtype": "f32", "shape": [17, 23]}
-    np.testing.assert_array_equal(load_tensor(p), arr)
+    loaded = load_tensor(p)
+    assert loaded.dtype == np.float32 and loaded.flags.writeable
+    np.testing.assert_array_equal(loaded, arr)
 
 
 def test_tensor_io_errors(tmp_path):
@@ -196,4 +199,9 @@ def test_tensor_io_errors(tmp_path):
     meta["shape"] = [4, 5]
     (tmp_path / "bad.f32.json").write_text(json.dumps(meta))
     with pytest.raises(DomainError):
+        load_tensor(p)
+    save_tensor(p, np.zeros((4, 4)))
+    with open(p, "ab") as fh:  # a partial float after the 16 the sidecar names
+        fh.write(b"\0\0")
+    with pytest.raises(ValidationError, match="multiple of 4"):
         load_tensor(p)
